@@ -18,7 +18,6 @@ from .competitions import (
 from .core import (
     AdaptiveState,
     NumericalDegeneracyError,
-    PerformanceMeasure,
     ProtocolError,
     ScaleFreeBandit,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "ExperimentConfig",
     "LossStream",
     "NumericalDegeneracyError",
-    "PerformanceMeasure",
     "ProtocolError",
     "RegretReport",
     "ScaleFreeBandit",

@@ -83,8 +83,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (harness.ConfigError, ValueError) as exc:
+        # out-of-range numerics raise NumericalDegeneracyError; skip numpy's warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

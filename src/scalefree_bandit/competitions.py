@@ -1,12 +1,11 @@
 """Competition models: class spaces, transition structure, and path complexity.
 
 A competition model describes which arm-selection sequences the bandit is
-expected to track. Each model is a set of equivalence classes (one per
-behavior pattern; for the two shipped models simply one class per arm), a
-prior over classes, and a row-stochastic transition between consecutive
-rounds. The weight of a whole path is the prior of its first class times
-the product of its transitions, and the path's learning "hardness" is the
-complexity functional computed by :func:`complexity`.
+expected to track. Each model is a set of classes (one per arm: class i is
+arm i), a prior over classes, and a row-stochastic transition between
+consecutive rounds. The weight of a whole path is the prior of its first
+class times the product of its transitions, and the path's learning
+"hardness" is the complexity functional computed by :func:`complexity`.
 
 Shipped models:
 
@@ -18,21 +17,19 @@ Shipped models:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-ROW_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class CompetitionModel:
     """Immutable class space with prior and transition structure.
 
-    ``arm_of`` maps class index -> arm index. ``kind`` selects the weight
-    sharing strategy: ``identity`` and ``fixed_share`` have O(n) structured
-    updates, ``dense`` falls back to the full transition matrix. The class
-    space is the same at every round for all shipped models.
+    ``arm_of`` maps class index -> arm index and must be the identity
+    ``arange(n_arms)``. ``kind`` selects the weight sharing strategy:
+    ``identity`` (fixed arms) or ``fixed_share`` (switching arms), both
+    O(n) per round. The class space is the same at every round.
     """
 
     spec: str
@@ -41,7 +38,6 @@ class CompetitionModel:
     log_prior: np.ndarray
     kind: str
     alpha: float | None = None
-    log_transition: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         # own private copies so freezing them cannot alias caller arrays
@@ -51,34 +47,17 @@ class CompetitionModel:
         object.__setattr__(self, "log_prior", log_prior)
         if self.n_arms < 2:
             raise ValueError("competition model needs at least 2 arms")
-        if arm_of.size == 0:
-            raise ValueError("empty class space")
         if arm_of.shape != log_prior.shape:
             raise ValueError("arm_of and log_prior must have one entry per class")
-        covered = np.unique(arm_of)
-        if covered.min() < 0 or covered.max() >= self.n_arms or covered.size != self.n_arms:
-            raise ValueError("every arm must be covered by at least one class")
+        if not np.array_equal(arm_of, np.arange(self.n_arms)):
+            raise ValueError("arm_of must be arange(n_arms): each arm covered by one class")
         total = np.exp(log_prior).sum()
         if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
             raise ValueError(f"prior must sum to 1, got {total!r}")
-        if self.kind == "dense":
-            if self.log_transition is None:
-                raise ValueError("dense model requires a transition matrix")
-            lt = np.array(self.log_transition, dtype=np.float64)
-            if lt.shape != (arm_of.size, arm_of.size):
-                raise ValueError("transition matrix shape mismatch")
-            row_sums = np.exp(lt).sum(axis=1)
-            bad = np.where(np.abs(row_sums - 1.0) > ROW_SUM_TOL)[0]
-            if bad.size:
-                raise ValueError(
-                    f"transition rows {bad.tolist()} sum to {row_sums[bad].tolist()}, expected 1"
-                )
-            lt.setflags(write=False)
-            object.__setattr__(self, "log_transition", lt)
-        elif self.kind not in ("identity", "fixed_share"):
+        if self.kind not in ("identity", "fixed_share"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "fixed_share" and not (self.alpha and 0.0 < self.alpha < 1.0):
-            raise ValueError("fixed_share requires alpha in (0, 1)")
+            raise ValueError(f"fixed_share requires alpha in (0, 1), got {self.alpha!r}")
         for arr in (arm_of, log_prior):
             arr.setflags(write=False)
 
@@ -86,25 +65,11 @@ class CompetitionModel:
     def n_classes(self) -> int:
         return int(self.arm_of.size)
 
-    def class_count(self, t: int) -> int:
-        """Size of the class space at round t (constant for shipped models)."""
-        if t < 1:
-            raise ValueError("rounds are numbered from 1")
-        return self.n_classes
-
     def log_transition_matrix(self) -> np.ndarray:
         """Dense log transitions, entry [prev, next] = log T(next | prev)."""
-        if self.log_transition is not None:
-            return self.log_transition
         n = self.n_classes
-        if self.kind == "identity":
-            out = np.full((n, n), -np.inf)
-            np.fill_diagonal(out, 0.0)
-            return out
-        stay = math.log1p(-self.alpha)
-        move = math.log(self.alpha / (n - 1))
-        out = np.full((n, n), move)
-        np.fill_diagonal(out, stay)
+        out = np.full((n, n), self.log_transition_of(1, 0))
+        np.fill_diagonal(out, self.log_transition_of(0, 0))
         return out
 
     def transition_matrix(self) -> np.ndarray:
@@ -114,11 +79,9 @@ class CompetitionModel:
         """log T(next | prev) without materializing the matrix."""
         if self.kind == "identity":
             return 0.0 if next_class == prev_class else -math.inf
-        if self.kind == "fixed_share":
-            if next_class == prev_class:
-                return math.log1p(-self.alpha)
-            return math.log(self.alpha / (self.n_classes - 1))
-        return float(self.log_transition[prev_class, next_class])
+        if next_class == prev_class:
+            return math.log1p(-self.alpha)
+        return math.log(self.alpha / (self.n_classes - 1))
 
 
 def fixed_arm_model(n_arms: int) -> CompetitionModel:
@@ -138,8 +101,6 @@ def fixed_share_model(n_arms: int, alpha: float) -> CompetitionModel:
     """One class per arm; stay w.p. 1-alpha, spread alpha over the others."""
     if n_arms < 2:
         raise ValueError("need at least 2 arms")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     return CompetitionModel(
         spec=f"switching:{alpha!r}",
         n_arms=n_arms,
@@ -147,24 +108,6 @@ def fixed_share_model(n_arms: int, alpha: float) -> CompetitionModel:
         log_prior=np.full(n_arms, -math.log(n_arms)),
         kind="fixed_share",
         alpha=float(alpha),
-    )
-
-
-def dense_model(
-    arm_of, prior, transition, spec: str = "dense"
-) -> CompetitionModel:
-    """General model from explicit arrays (rows of `transition` sum to 1)."""
-    arm_of = np.asarray(arm_of, dtype=np.intp)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(np.asarray(prior, dtype=np.float64))
-        log_transition = np.log(np.asarray(transition, dtype=np.float64))
-    return CompetitionModel(
-        spec=spec,
-        n_arms=int(arm_of.max()) + 1,
-        arm_of=arm_of,
-        log_prior=log_prior,
-        kind="dense",
-        log_transition=log_transition,
     )
 
 
@@ -178,8 +121,6 @@ def parse_model(spec: str, n_arms: int) -> CompetitionModel:
             alpha = float(raw)
         except ValueError:
             raise ValueError(f"bad switching rate {raw!r} in model spec {spec!r}") from None
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"switching rate must be in (0, 1), got {alpha} in {spec!r}")
         return fixed_share_model(n_arms, alpha)
     raise ValueError(f"unknown model spec {spec!r} (expected 'fixed' or 'switching:<alpha>')")
 
@@ -215,14 +156,14 @@ def complexity(model: CompetitionModel, path) -> float:
         log_weight += model.log_transition_of(int(path[t]), int(path[t - 1]))
     if log_weight == -math.inf:
         return math.inf
-    max_space = 1 if horizon == 1 else max(model.class_count(t) for t in range(1, horizon))
+    max_space = 1 if horizon == 1 else model.n_classes
     return math.log(max_space) - log_weight
 
 
 def complexity_budget(model: CompetitionModel, horizon: int, switches: int) -> float:
     """Largest complexity over paths with at most `switches` changes.
 
-    Closed form for the shipped models; used for auto-tuning gamma.
+    Closed form for both model kinds; used for auto-tuning gamma.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -233,15 +174,11 @@ def complexity_budget(model: CompetitionModel, horizon: int, switches: int) -> f
     log_m = math.log(n)
     if model.kind == "identity":
         return log_space + log_m
-    if model.kind == "fixed_share":
-        per_switch = math.log((n - 1) / model.alpha)
-        per_stay = -math.log1p(-model.alpha)
-        best = -math.inf
-        for k in range(switches + 1):
-            w = log_space + log_m + k * per_switch + (horizon - 1 - k) * per_stay
-            best = max(best, w)
-        return best
-    raise NotImplementedError(f"no closed-form budget for model kind {model.kind!r}")
+    per_switch = math.log((n - 1) / model.alpha)
+    per_stay = -math.log1p(-model.alpha)
+    # linear in the switch count k, so the largest value is at k = 0 or k = switches
+    k = switches if per_switch > per_stay else 0
+    return log_space + log_m + k * per_switch + (horizon - 1 - k) * per_stay
 
 
 def default_gamma(model: CompetitionModel, horizon: int, switches: int) -> float:

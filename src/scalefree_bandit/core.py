@@ -1,12 +1,12 @@
 """Adversarial bandit state machine with affine-invariant selection behavior.
 
-The algorithm keeps one log-domain weight per competition-model class,
-turns them into arm probabilities, explores with a decaying uniform
-mixture, and learns from an importance-weighted excess loss: the incurred
-loss minus the smallest loss seen so far, divided by the probability of
-the selected arm. Translating or positively rescaling every loss leaves
-the selection behavior unchanged because the excess rescales while the
-self-tuned learning rate rescales inversely.
+The algorithm keeps one log-domain weight per arm (each competition-model
+class is one arm), turns them into arm probabilities, explores with a
+decaying uniform mixture, and learns from an importance-weighted excess
+loss: the incurred loss minus the smallest loss seen so far, divided by the
+probability of the selected arm. Translating or positively rescaling every
+loss leaves the selection behavior unchanged because the excess rescales
+while the self-tuned learning rate rescales inversely.
 
 One round, in order:
 
@@ -15,15 +15,18 @@ One round, in order:
    the excess estimate (zero for every unselected arm);
 3. accumulate the second-moment sum and the running maximum spread that
    drive the adaptive learning rate;
-4. multiply the selected arm's class weights by exp(-rate * excess) using
-   the previous round's rate, raise everything to the ratio of consecutive
+4. multiply the selected arm's weight by exp(-rate * excess) using the
+   previous round's rate, raise everything to the ratio of consecutive
    rates, and push the result through the model's probability-sharing
    transitions to obtain the next round's weights.
 
-Rounds where no excess has ever been observed have an undefined adaptive
-rate; that degenerate case is resolved by substituting the current rate
-(making the power ratio one) and, when the current rate is undefined too,
-by an identity update.
+Steps 2-4 are :func:`round_step`, the only copy of the recursion, written
+over a leading runs axis: :class:`ScaleFreeBandit` runs it on one weight
+vector, :func:`scalefree_bandit.harness.simulate_runs` on a batch of runs.
+
+Before the first nonzero excess the adaptive rate is undefined (NaN in the
+kernel, None in :class:`AdaptiveState`): the current rate is borrowed (power
+ratio one), and while that is undefined too the update is the identity.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ class ProtocolError(RuntimeError):
 
 
 class NumericalDegeneracyError(ArithmeticError):
-    """Every class weight collapsed to zero; no distribution can be formed."""
+    """The recursion left the float range: the adaptive rate fell outside
+    (0, inf), or the weight mass vanished or stopped being finite."""
 
 
 @dataclass(frozen=True)
@@ -67,33 +71,6 @@ class AdaptiveState:
     n_arms: int
 
 
-@dataclass(frozen=True)
-class PerformanceMeasure:
-    """Importance-weighted excess loss of the selected arm.
-
-    Unselected arms implicitly measure zero, so a single scalar suffices.
-    """
-
-    value: float
-    arm: int
-    selection_prob: float
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    m = a.max()
-    if m == -np.inf:
-        return -math.inf
-    return float(m + math.log(np.exp(a - m).sum()))
-
-
-def _softmax_from_log(log_w: np.ndarray) -> np.ndarray:
-    m = log_w.max()
-    if m == -np.inf:
-        raise NumericalDegeneracyError("all class weights are zero")
-    e = np.exp(log_w - m)
-    return e / e.sum()
-
-
 def mixture_coefficient(t: int, n_arms: int) -> float:
     """Exploration floor for round t: min(1/2, sqrt(n_arms / t))."""
     if n_arms < 2:
@@ -104,33 +81,45 @@ def mixture_coefficient(t: int, n_arms: int) -> float:
 
 
 def selection_probabilities(p: np.ndarray, eps: float) -> np.ndarray:
-    """Mix the arm probabilities with a uniform floor of eps."""
+    """Mix the arm probabilities (last axis) with a uniform floor of eps."""
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"mixture coefficient must be in (0, 1/2], got {eps}")
-    return (1.0 - eps) * p + eps / p.shape[0]
+    return (1.0 - eps) * p + eps / p.shape[-1]
 
 
-def arm_marginals(log_weights: np.ndarray, model: CompetitionModel) -> np.ndarray:
-    """Normalized per-arm probabilities from class log-weights.
+# Per-run quantities are scalars for one learner and (runs,) arrays for a
+# batch. These helpers take the plain Python route for scalars: numpy's
+# per-call overhead on scalars would otherwise dominate a one-learner round.
 
-    Sums the weights of the classes mapped to each arm in log domain with
-    max subtraction, so any uniform shift of the log-weights leaves the
-    result unchanged.
+def _all(mask) -> bool:
+    return np.count_nonzero(mask) == mask.size if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _where(mask, a, b):
+    if isinstance(mask, np.ndarray):
+        return np.where(mask, a, b)
+    return a if mask else b
+
+
+def _col(x):
+    """Per-run values as a column against (runs, M) rows."""
+    return x[..., None] if isinstance(x, np.ndarray) else x
+
+
+def arm_probabilities(log_w: np.ndarray) -> np.ndarray:
+    """Normalized arm probabilities from log-weights (last axis).
+
+    The only route from stored weights to probabilities, so a restored
+    learner has the same probabilities bit for bit. Stored log-weights have
+    mass 1, so their exponentials neither overflow nor all underflow; other
+    inputs must stay inside exp's range.
     """
-    n = model.n_classes
-    if n == model.n_arms and np.array_equal(model.arm_of, np.arange(n)):
-        return _softmax_from_log(log_weights)
-    arm_max = np.full(model.n_arms, -np.inf)
-    np.maximum.at(arm_max, model.arm_of, log_weights)
-    if not (arm_max > -np.inf).any():
-        raise NumericalDegeneracyError("all class weights are zero")
-    with np.errstate(invalid="ignore"):
-        shifted = np.where(log_weights == -np.inf, 0.0, np.exp(log_weights - arm_max[model.arm_of]))
-    sums = np.zeros(model.n_arms)
-    np.add.at(sums, model.arm_of, shifted)
-    with np.errstate(divide="ignore"):
-        log_arm = np.where(arm_max > -np.inf, arm_max + np.log(np.maximum(sums, 1e-300)), -np.inf)
-    return _softmax_from_log(log_arm)
+    e = np.exp(log_w)
+    total = e.sum(axis=-1)
+    if not _all((total > 0.0) & (total < math.inf)):
+        raise NumericalDegeneracyError("weight mass vanished or is not finite")
+    e /= _col(total)
+    return e
 
 
 def sample_arm(q: np.ndarray, rng: np.random.Generator) -> int:
@@ -140,80 +129,98 @@ def sample_arm(q: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, q.shape[0] - 1)
 
 
-def performance_measure(
-    loss: float, arm: int, q_selected: float, min_loss_prev: float
-) -> tuple[PerformanceMeasure, float]:
-    """Excess of the incurred loss over the updated running minimum,
-    importance-weighted by the selection probability. Never negative."""
-    if not 0.0 < q_selected <= 1.0:
-        raise ValueError(f"selection probability must be in (0, 1], got {q_selected}")
-    new_min = loss if loss < min_loss_prev else min_loss_prev
-    return PerformanceMeasure((loss - new_min) / q_selected, arm, q_selected), new_min
+# ---------------------------------------------------------------------------
+# the round kernel
+# ---------------------------------------------------------------------------
 
+def adaptive_step(loss, q_sel, p_sel, min_loss, second_moment, spread_max, rate_prev,
+                  gamma, fixed_rate=None):
+    """Statistics, rate, exponent and power of one round, per run.
 
-def update_statistics(
-    stats: AdaptiveState, pm: PerformanceMeasure, p_selected: float
-) -> AdaptiveState:
-    """Fold one round's excess into the second-moment sum and max spread."""
-    v = p_selected * pm.value * pm.value
-    spread = pm.value if pm.value > stats.spread_max else stats.spread_max
-    return replace(stats, second_moment=stats.second_moment + v, spread_max=spread)
+    The rate is gamma / sqrt(second moment + spread^2), NaN while both are
+    zero; the exponent is the previous rate (the current one while the
+    previous is NaN) times the excess; the power is the rate ratio, 1 while
+    the previous rate is NaN. ``fixed_rate`` freezes the rate (power 1).
 
-
-def learning_rate(stats: AdaptiveState) -> float | None:
-    """gamma / sqrt(second-moment sum + max spread squared); None while zero."""
-    denom = stats.second_moment + stats.spread_max * stats.spread_max
-    if denom <= 0.0:
-        return None
-    return stats.gamma / math.sqrt(denom)
-
-
-def exponential_update(
-    log_weights: np.ndarray, model: CompetitionModel, arm: int, excess: float, rate: float
-) -> np.ndarray:
-    """Multiply the selected arm's classes by exp(-rate * excess) (log domain).
-
-    Classes of unselected arms are untouched: their excess is zero.
+    Returns (min_loss, second_moment, spread_max, rate, exponent, power).
     """
-    log_z = log_weights.copy()
-    log_z[model.arm_of == arm] -= rate * excess
-    return log_z
+    min_loss = _where(loss < min_loss, loss, min_loss)
+    excess = (loss - min_loss) / q_sel
+    second_moment = second_moment + p_sel * excess * excess
+    spread_max = _where(excess <= spread_max, spread_max, excess)  # a NaN excess propagates
+    if fixed_rate is None:
+        # NaN only before the first excess; after it, a zero denominator is an underflow
+        denom = second_moment + spread_max * spread_max
+        rate = gamma / np.sqrt(_where(spread_max > 0.0, denom, math.nan))
+        if not _all((spread_max == 0.0) | ((rate > 0.0) & (rate < math.inf))):
+            raise NumericalDegeneracyError("adaptive rate left (0, inf): extreme losses or gamma")
+        degenerate = rate_prev != rate_prev  # NaN: no excess before this round
+        exponent_rate = _where(degenerate, rate, rate_prev)
+        power = _where(degenerate, 1.0, rate / rate_prev)
+    else:
+        rate = exponent_rate = fixed_rate
+        power = 1.0
+    exponent = _where(excess > 0.0, exponent_rate * excess, 0.0)
+    return min_loss, second_moment, spread_max, rate, exponent, power
 
 
-def weight_share(
-    log_z: np.ndarray, model: CompetitionModel, power: float
-) -> tuple[np.ndarray, float, float]:
-    """Raise intermediate weights to `power` and push them through the
-    model's transitions.
+def fixed_share(z: np.ndarray, total, alpha: float) -> np.ndarray:
+    """Fixed-share transitions in closed form, valid for every alpha in (0, 1).
 
-    Returns (next log-weights, log total mass in, log total mass out);
-    the two totals agree up to floating-point error because transition
-    rows are stochastic, which is the conservation diagnostic.
+    Each arm keeps 1 - alpha of its weight and receives alpha / (M - 1) of
+    every other arm's: (1 - alpha) z + alpha / (M - 1) (total - z), where
+    ``total`` is the sum of ``z`` over the last axis (Herbster & Warmuth,
+    "Tracking the best expert", 1998). All terms are non-negative.
     """
-    if not 0.0 < power <= 1.0:
+    w = total - z
+    w *= alpha / (z.shape[-1] - 1)
+    w += (1.0 - alpha) * z
+    return w
+
+
+def weight_step(model: CompetitionModel, log_w: np.ndarray, sel, exponent, power):
+    """Penalize the selected arm, raise to `power`, and share.
+
+    One exp turns the max-shifted log-weights into linear weights; the
+    identity model stays in the log domain, so small weights never underflow.
+    Returns (next log-weights of mass 1, their arm probabilities, log mass
+    entering the sharing step, log mass leaving it); the two masses agree up
+    to rounding because the transitions are stochastic.
+    """
+    if not _all((power > 0.0) & (power <= 1.0)):
         raise ValueError(f"power must be in (0, 1], got {power}")
-    powered = power * log_z
+    log_z = log_w.copy()
+    log_z[sel] -= exponent
+    log_z *= _col(power)
+    top = log_z.max(axis=-1)
+    log_z -= _col(top)
+    z = np.exp(log_z)
+    total = z.sum(axis=-1)
+    log_in = top + np.log(total)
     if model.kind == "identity":
-        total = _logsumexp(powered)
-        return powered, total, total
-    if model.kind == "fixed_share":
-        n = model.n_classes
-        alpha = model.alpha
-        stay_excess = 1.0 - alpha - alpha / (n - 1)
-        if stay_excess >= 0.0:
-            total_in = _logsumexp(powered)
-            log_stay = math.log(stay_excess) if stay_excess > 0.0 else -math.inf
-            log_spread = math.log(alpha / (n - 1))
-            out = np.logaddexp(log_stay + powered, log_spread + total_in)
-            return out, total_in, _logsumexp(out)
-        # alpha so large that leaving is likelier than staying: dense fallback
-    log_t = model.log_transition_matrix()
-    terms = log_t + powered[:, None]
-    col_max = terms.max(axis=0)
-    with np.errstate(invalid="ignore"):
-        safe = np.where(terms == -np.inf, 0.0, np.exp(terms - col_max))
-    out = np.where(col_max > -np.inf, col_max + np.log(np.maximum(safe.sum(axis=0), 1e-300)), -np.inf)
-    return out, _logsumexp(powered), _logsumexp(out)
+        log_next = log_z - _col(np.log(total))
+        log_out = log_in
+    else:
+        w = fixed_share(z, _col(total), model.alpha)
+        total_out = w.sum(axis=-1)
+        log_next = np.log(w / _col(total_out))
+        log_out = top + np.log(total_out)
+    return log_next, arm_probabilities(log_next), log_in, log_out
+
+
+def round_step(model: CompetitionModel, log_w: np.ndarray, p: np.ndarray, q: np.ndarray,
+               sel, loss, stats: tuple, gamma, fixed_rate=None):
+    """One round after the selection: adaptive step, then weight step.
+
+    ``log_w``, ``p``, ``q`` are ``(M,)`` or ``(runs, M)``, ``sel`` indexes the
+    selected arm in each row (``arm`` or ``(rows, arms)``), and ``loss`` and
+    ``stats`` (running minimum, second moment, spread, previous rate) are
+    per run. Returns the next (log_w, p, stats, (log_in, log_out)).
+    """
+    min_loss, second, spread, rate, exponent, power = adaptive_step(
+        loss, q[sel], p[sel], *stats, gamma, fixed_rate)
+    log_w, p, log_in, log_out = weight_step(model, log_w, sel, exponent, power)
+    return log_w, p, (min_loss, second, spread, rate), (log_in, log_out)
 
 
 class ScaleFreeBandit:
@@ -247,16 +254,11 @@ class ScaleFreeBandit:
                 raise ValueError(f"gamma must be positive and finite, got {gamma}")
         elif fixed_rate < 0.0 or not math.isfinite(fixed_rate):
             raise ValueError(f"fixed_rate must be finite and >= 0, got {fixed_rate}")
-        if model.n_classes < 1:
-            raise ValueError("model has an empty class space")
         self._model = model
         self._n_arms = model.n_arms
         self._fixed_rate = fixed_rate
-        self._identity_classes = model.n_classes == model.n_arms and np.array_equal(
-            model.arm_of, np.arange(model.n_classes)
-        )
         self._log_w = model.log_prior.copy()
-        self._p = arm_marginals(self._log_w, model)
+        self._p = arm_probabilities(self._log_w)
         self._stats = AdaptiveState(
             round=1,
             min_loss=math.inf,
@@ -268,7 +270,7 @@ class ScaleFreeBandit:
         )
         self._rng = rng if rng is not None else make_generator(seed)
         self._phase = "select"
-        self._pending: tuple[int, float, float] | None = None
+        self._pending: tuple[int, np.ndarray] | None = None
         self._conservation: tuple[float, float] | None = None
 
     # -- read-only views ---------------------------------------------------
@@ -321,7 +323,7 @@ class ScaleFreeBandit:
             arm = int(force_arm)
             if not 0 <= arm < self._n_arms:
                 raise ValueError(f"forced arm {arm} out of range")
-        self._pending = (arm, float(q[arm]), eps)
+        self._pending = (arm, q)
         self._phase = "update"
         return arm, q
 
@@ -332,51 +334,20 @@ class ScaleFreeBandit:
         loss = float(loss)
         if not math.isfinite(loss):
             raise ValueError(f"losses must be finite, got {loss}")
-        arm, q_sel, _ = self._pending
+        arm, q = self._pending
         old = self._stats
-        pm, new_min = performance_measure(loss, arm, q_sel, old.min_loss)
-        v = float(self._p[arm]) * pm.value * pm.value
-        second = old.second_moment + v
-        spread = pm.value if pm.value > old.spread_max else old.spread_max
-
-        if self._fixed_rate is not None:
-            rate = self._fixed_rate
-            exponent_rate = rate
-            power = 1.0
-        else:
-            denom = second + spread * spread
-            rate = None if denom <= 0.0 else old.gamma / math.sqrt(denom)
-            prev = old.rate_prev
-            if prev is None:
-                exponent_rate = rate  # degenerate: borrow the current rate
-                power = 1.0
-            else:
-                exponent_rate = prev
-                power = rate / prev
-
-        if pm.value != 0.0 and exponent_rate:
-            if self._identity_classes:
-                log_z = self._log_w.copy()
-                log_z[arm] -= exponent_rate * pm.value
-            else:
-                log_z = exponential_update(self._log_w, self._model, arm, pm.value, exponent_rate)
-        else:
-            log_z = self._log_w
-        log_next, log_in, log_out = weight_share(log_z, self._model, power)
-        if not math.isfinite(log_out):
-            raise NumericalDegeneracyError("weight mass vanished during sharing")
-        self._conservation = (log_in, log_out)
-        self._log_w = log_next - log_out
-        if self._identity_classes:
-            self._p = _softmax_from_log(self._log_w)
-        else:
-            self._p = arm_marginals(self._log_w, self._model)
+        stats = (old.min_loss, old.second_moment, old.spread_max,
+                 math.nan if old.rate_prev is None else old.rate_prev)
+        self._log_w, self._p, stats, conservation = round_step(
+            self._model, self._log_w, self._p, q, arm, loss, stats, old.gamma, self._fixed_rate)
+        self._conservation = (float(conservation[0]), float(conservation[1]))
+        min_loss, second, spread, rate = (float(x) for x in stats)
         self._stats = AdaptiveState(
             round=old.round + 1,
-            min_loss=new_min,
+            min_loss=min_loss,
             second_moment=second,
             spread_max=spread,
-            rate_prev=rate,
+            rate_prev=None if math.isnan(rate) else rate,
             gamma=old.gamma,
             n_arms=old.n_arms,
         )
@@ -393,7 +364,9 @@ class ScaleFreeBandit:
     # -- checkpointing -------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Exact state between rounds; restore() resumes bit-for-bit."""
+        """Exact state between rounds as strict JSON data; restore() resumes
+        bit-for-bit. ``min_loss`` is null before the first update (restore()
+        also reads the ``Infinity`` older snapshots wrote there)."""
         if self._phase != "select":
             raise ProtocolError("cannot snapshot mid-round (pending update)")
         return {
@@ -403,7 +376,7 @@ class ScaleFreeBandit:
             "gamma": self._stats.gamma,
             "fixed_rate": self._fixed_rate,
             "round": self._stats.round,
-            "min_loss": self._stats.min_loss,
+            "min_loss": None if self._stats.min_loss == math.inf else self._stats.min_loss,
             "second_moment": self._stats.second_moment,
             "spread_max": self._stats.spread_max,
             "rate_prev": self._stats.rate_prev,
@@ -425,21 +398,20 @@ class ScaleFreeBandit:
             fixed_rate=snap["fixed_rate"],
         )
         state._log_w = np.array(snap["log_weights"], dtype=np.float64)
-        state._p = arm_marginals(state._log_w, model)
-        state._stats = AdaptiveState(
+        state._p = arm_probabilities(state._log_w)
+        state._stats = replace(
+            state._stats,
             round=int(snap["round"]),
-            min_loss=float(snap["min_loss"]),
+            min_loss=math.inf if snap["min_loss"] is None else float(snap["min_loss"]),
             second_moment=float(snap["second_moment"]),
             spread_max=float(snap["spread_max"]),
             rate_prev=None if snap["rate_prev"] is None else float(snap["rate_prev"]),
-            gamma=None if snap["gamma"] is None else float(snap["gamma"]),
-            n_arms=model.n_arms,
         )
         return state
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.snapshot(), fh)
+            json.dump(self.snapshot(), fh, allow_nan=False)
 
     @classmethod
     def load(cls, path) -> "ScaleFreeBandit":

@@ -20,9 +20,10 @@ a comment). Keys are exactly the fields of :class:`ExperimentConfig`:
                  ``<prefix>_summary.csv``
 ===============  ==========================================================
 
-All runs are advanced in lockstep as one vectorized batch; each run keeps
-its own counter-based random stream, so every run selects exactly the arms
-it would select if played alone (the test suite checks this equivalence).
+All runs are advanced in lockstep as one batch through the learner's round
+kernel (:func:`scalefree_bandit.core.round_step`); each run keeps its own
+counter-based random stream, so every run selects exactly the arms it would
+select if played alone (the test suite checks this equivalence).
 
 CSV conventions match the scripted-stream format: 0-based round column
 ``t``, 1-based ``arm``. The ``eta`` column reports ``inf`` while the
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import environments, reference
 from .competitions import CompetitionModel, complexity, default_gamma, parse_model
-from .core import mixture_coefficient
+from .core import arm_probabilities, mixture_coefficient, round_step, selection_probabilities
 from .environments import LossStream
 from .rng import run_generator
 
@@ -208,9 +209,9 @@ class SimulationRecord:
     final_probs: np.ndarray  # (runs, M) arm probabilities after round T
 
 
-def _row_logsumexp(a: np.ndarray) -> np.ndarray:
-    m = a.max(axis=1, keepdims=True)
-    return m[:, 0] + np.log(np.exp(a - m).sum(axis=1))
+def _arm_dtype(n_arms: int):
+    """Smallest of int16/int32 that holds every arm index."""
+    return np.int16 if n_arms - 1 <= np.iinfo(np.int16).max else np.int32
 
 
 def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
@@ -218,19 +219,12 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
     """Play `runs` independent learners over the stream in lockstep.
 
     Run r draws its arms from the spawned stream (base_seed, r). Each row
-    reproduces a sequential :class:`~scalefree_bandit.core.ScaleFreeBandit`
-    with the same stream: identical arm selections and running minima, with
-    probabilities and rates agreeing to within a few ulp (scalar vs
-    vectorized transcendentals round differently). Only models whose
-    classes coincide with arms are supported here (both shipped models);
-    use :func:`simulate_runs_sequential` for richer models.
+    runs :func:`~scalefree_bandit.core.round_step` as a sequential
+    :class:`~scalefree_bandit.core.ScaleFreeBandit` does: the same arms and
+    running minima, probabilities and rates equal up to how numpy rounds
+    batched and one-row transcendentals (a few ulp at most).
     """
-    n = model.n_classes
     n_arms = model.n_arms
-    if n != n_arms or not np.array_equal(model.arm_of, np.arange(n)):
-        raise ValueError("vectorized engine requires one class per arm")
-    if model.kind not in ("identity", "fixed_share"):
-        raise ValueError(f"vectorized engine does not support kind {model.kind!r}")
     matrix = stream.matrix
     horizon = stream.horizon
     uniforms = np.empty((runs, horizon))
@@ -238,22 +232,16 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
         uniforms[r] = run_generator(base_seed, r).random(horizon)
 
     log_w = np.tile(model.log_prior, (runs, 1))
-    e = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
-    min_loss = np.full(runs, np.inf)
-    second = np.zeros(runs)
-    spread = np.zeros(runs)
-    rate_prev = np.full(runs, np.nan)
+    p = arm_probabilities(log_w)
+    stats = (
+        np.full(runs, np.inf),  # running minimum
+        np.zeros(runs),  # second moment
+        np.zeros(runs),  # spread
+        np.full(runs, np.nan),  # previous rate, NaN while degenerate
+    )
     rows = np.arange(runs)
 
-    if model.kind == "fixed_share":
-        stay_excess = 1.0 - model.alpha - model.alpha / (n - 1)
-        if stay_excess < 0:
-            raise ValueError("vectorized engine requires alpha <= (M-1)/M")
-        log_stay = math.log(stay_excess) if stay_excess > 0 else -math.inf
-        log_spread = math.log(model.alpha / (n - 1))
-
-    arms = np.empty((runs, horizon), dtype=np.int16)
+    arms = np.empty((runs, horizon), dtype=_arm_dtype(n_arms))
     losses = np.empty((runs, horizon))
     eta = np.empty((runs, horizon))
     psi = np.empty((runs, horizon))
@@ -261,7 +249,7 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
 
     for t in range(horizon):
         eps = mixture_coefficient(t + 1, n_arms)
-        q = (1.0 - eps) * p + eps / n_arms
+        q = selection_probabilities(p, eps)
         cdf = np.cumsum(q, axis=1)
         u = uniforms[:, t]
         arm = np.argmax(u[:, None] < cdf, axis=1)
@@ -269,36 +257,13 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
         if overflow.any():
             arm[overflow] = n_arms - 1
         loss = matrix[t, arm]
-        np.minimum(min_loss, loss, out=min_loss)
-        excess = (loss - min_loss) / q[rows, arm]
-        second += p[rows, arm] * excess * excess
-        np.maximum(spread, excess, out=spread)
-        denom = second + spread * spread
-        positive = denom > 0
-        rate = np.full(runs, np.nan)
-        rate[positive] = gamma / np.sqrt(denom[positive])
-        degenerate = np.isnan(rate_prev)
-        exponent_rate = np.where(degenerate, rate, rate_prev)
-        with np.errstate(invalid="ignore"):
-            exponent = np.where(excess == 0.0, 0.0, exponent_rate * excess)
-            power = np.where(degenerate, 1.0, rate / rate_prev)
-        log_w[rows, arm] -= exponent
-
-        powered = power[:, None] * log_w
-        if model.kind == "identity":
-            log_next = powered
-        else:
-            total_in = _row_logsumexp(powered)
-            log_next = np.logaddexp(log_stay + powered, (log_spread + total_in)[:, None])
-        log_w = log_next - _row_logsumexp(log_next)[:, None]
-        e = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-        p = e / e.sum(axis=1, keepdims=True)
-        rate_prev = rate
+        log_w, p, stats, _ = round_step(model, log_w, p, q, (rows, arm), loss, stats, gamma)
+        rate = stats[3]
 
         arms[:, t] = arm
         losses[:, t] = loss
         eta[:, t] = np.where(np.isnan(rate), np.inf, rate)
-        psi[:, t] = min_loss
+        psi[:, t] = stats[0]
         eps_hist[t] = eps
 
     return SimulationRecord(arms, losses, eta, psi, eps_hist, p)
@@ -310,7 +275,7 @@ def simulate_runs_sequential(model: CompetitionModel, gamma: float, stream: Loss
     from .core import ScaleFreeBandit
 
     horizon, n_arms = stream.horizon, stream.n_arms
-    arms = np.empty((runs, horizon), dtype=np.int16)
+    arms = np.empty((runs, horizon), dtype=_arm_dtype(n_arms))
     losses = np.empty((runs, horizon))
     eta = np.empty((runs, horizon))
     psi = np.empty((runs, horizon))

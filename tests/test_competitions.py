@@ -173,7 +173,7 @@ def test_path_arms_projection():
 
 
 def test_direct_construction_validation():
-    from scalefree_bandit.competitions import CompetitionModel, dense_model
+    from scalefree_bandit.competitions import CompetitionModel
 
     with pytest.raises(ValueError, match="one entry per class"):
         CompetitionModel(spec="x", n_arms=2, arm_of=[0, 1],
@@ -182,28 +182,19 @@ def test_direct_construction_validation():
         CompetitionModel(spec="x", n_arms=2, arm_of=[0, 1],
                          log_prior=[0.0, 0.0], kind="identity")
     with pytest.raises(ValueError, match="covered"):
-        dense_model([0, 0, 2], np.full(3, 1 / 3), np.full((3, 3), 1 / 3))
+        CompetitionModel(spec="x", n_arms=3, arm_of=[0, 0, 2],
+                         log_prior=np.log(np.full(3, 1 / 3)), kind="identity")
+    with pytest.raises(ValueError, match="arange"):
+        CompetitionModel(spec="x", n_arms=2, arm_of=[1, 0],
+                         log_prior=np.log([0.5, 0.5]), kind="identity")
     with pytest.raises(ValueError, match="kind"):
         CompetitionModel(spec="x", n_arms=2, arm_of=[0, 1],
                          log_prior=np.log([0.5, 0.5]), kind="mystery")
 
 
-def test_class_count_rejects_round_zero():
-    with pytest.raises(ValueError):
-        fixed_arm_model(2).class_count(0)
-
-
-def test_budget_unavailable_for_custom_models():
-    from scalefree_bandit.competitions import dense_model
-
-    model = dense_model([0, 1], [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
-    with pytest.raises(NotImplementedError):
-        complexity_budget(model, 10, 1)
-
-
 def test_prior_marginals_uniform_for_shipped_models():
-    from scalefree_bandit.core import arm_marginals
+    from scalefree_bandit.core import arm_probabilities
 
     for model in (fixed_arm_model(6), fixed_share_model(6, 0.3)):
-        p = arm_marginals(model.log_prior.copy(), model)
+        p = arm_probabilities(model.log_prior.copy())
         assert np.allclose(p, np.full(6, 1 / 6), atol=1e-15)

@@ -4,29 +4,31 @@ import math
 import numpy as np
 import pytest
 
-from scalefree_bandit.competitions import dense_model, fixed_arm_model, fixed_share_model
+from scalefree_bandit.competitions import CompetitionModel, fixed_arm_model, fixed_share_model
 from scalefree_bandit.core import (
-    AdaptiveState,
     NumericalDegeneracyError,
-    PerformanceMeasure,
     ProtocolError,
     ScaleFreeBandit,
-    arm_marginals,
-    exponential_update,
-    learning_rate,
+    adaptive_step,
+    arm_probabilities,
     mixture_coefficient,
-    performance_measure,
     sample_arm,
     selection_probabilities,
-    update_statistics,
-    weight_share,
+    weight_step,
 )
 from scalefree_bandit.rng import make_generator
 
 
-def stats(gamma=1.0, V=0.0, D=0.0, rate_prev=None, min_loss=math.inf, n_arms=2, t=1):
-    return AdaptiveState(round=t, min_loss=min_loss, second_moment=V,
-                         spread_max=D, rate_prev=rate_prev, gamma=gamma, n_arms=n_arms)
+def adapt(loss, q_sel=1.0, p_sel=1.0, min_loss=math.inf, V=0.0, D=0.0,
+          rate_prev=math.nan, gamma=1.0):
+    """adaptive_step as a dict, one learner."""
+    out = adaptive_step(loss, q_sel, p_sel, min_loss, V, D, rate_prev, gamma)
+    return dict(zip(("min_loss", "V", "D", "rate", "exponent", "power"), out))
+
+
+def logsumexp(a):
+    m = a.max()
+    return m + math.log(np.exp(a - m).sum())
 
 
 class TestMixtureCoefficient:
@@ -75,36 +77,24 @@ class TestSelectionProbabilities:
 
 
 class TestArmMarginals:
-    def two_classes_per_arm(self):
-        # classes 0,1 -> arm 0; classes 2,3 -> arm 1
-        return dense_model(
-            arm_of=[0, 0, 1, 1],
-            prior=[0.25, 0.25, 0.25, 0.25],
-            transition=np.full((4, 4), 0.25),
-        )
-
     def test_symmetric_classes(self):
-        model = self.two_classes_per_arm()
-        p = arm_marginals(np.zeros(4), model)
-        assert np.allclose(p, [0.5, 0.5], atol=1e-15)
+        p = arm_probabilities(np.zeros(4))
+        assert np.allclose(p, [0.25] * 4, atol=1e-15)
 
     def test_log_ratio(self):
-        model = fixed_arm_model(2)
-        p = arm_marginals(np.array([0.0, math.log(3.0)]), model)
+        p = arm_probabilities(np.array([0.0, math.log(3.0)]))
         assert np.allclose(p, [0.25, 0.75], atol=1e-15)
 
     def test_uniform_shift_invariance(self):
         rng = make_generator(3)
-        model = self.two_classes_per_arm()
         log_w = rng.normal(size=4)
-        base = arm_marginals(log_w, model)
-        shifted = arm_marginals(log_w + 100.0, model)
+        base = arm_probabilities(log_w)
+        shifted = arm_probabilities(log_w + 100.0)
         assert np.abs(base - shifted).max() <= 1e-12
 
     def test_all_zero_weights_signal(self):
-        model = fixed_arm_model(2)
         with pytest.raises(NumericalDegeneracyError):
-            arm_marginals(np.array([-np.inf, -np.inf]), model)
+            arm_probabilities(np.array([-np.inf, -np.inf]))
 
 
 class TestSampleArm:
@@ -140,120 +130,122 @@ class TestSampleArm:
 
 
 class TestPerformanceMeasure:
+    # the excess is read from the spread, which starts at 0
     def test_excess_over_running_minimum(self):
-        pm, new_min = performance_measure(3.0, 0, 0.5, 1.0)
-        assert new_min == 1.0
-        assert pm.value == 4.0
+        out = adapt(3.0, q_sel=0.5, min_loss=1.0)
+        assert out["min_loss"] == 1.0
+        assert out["D"] == 4.0
 
     def test_new_minimum_zeroes_measure(self):
-        pm, new_min = performance_measure(0.5, 1, 0.2, 1.0)
-        assert new_min == 0.5
-        assert pm.value == 0.0
+        out = adapt(0.5, q_sel=0.2, min_loss=1.0, rate_prev=0.7)
+        assert out["min_loss"] == 0.5
+        assert out["D"] == 0.0 and out["exponent"] == 0.0
 
     def test_first_round_is_free(self):
-        pm, new_min = performance_measure(7.3, 2, 0.123, math.inf)
-        assert new_min == 7.3
-        assert pm.value == 0.0
+        out = adapt(7.3, q_sel=0.123)
+        assert out["min_loss"] == 7.3
+        assert out["D"] == 0.0 and out["exponent"] == 0.0
 
     def test_rejects_nonpositive_probability(self):
-        with pytest.raises(ValueError):
-            performance_measure(1.0, 0, 0.0, math.inf)
+        with pytest.raises(NumericalDegeneracyError), np.errstate(invalid="ignore"):
+            adaptive_step(1.0, np.float64(0.0), 1.0, math.inf, 0.0, 0.0, math.nan, 1.0)
 
 
 class TestUpdateStatistics:
     def test_second_moment(self):
-        out = update_statistics(stats(), PerformanceMeasure(4.0, 0, 0.5), 0.25)
-        assert out.second_moment == 4.0
-        assert out.spread_max == 4.0
+        out = adapt(3.0, q_sel=0.5, p_sel=0.25, min_loss=1.0)
+        assert out["V"] == 4.0
+        assert out["D"] == 4.0
 
     def test_zero_measure_is_noop(self):
-        base = stats(V=1.5, D=2.0)
-        out = update_statistics(base, PerformanceMeasure(0.0, 0, 0.5), 0.7)
-        assert out.second_moment == 1.5
-        assert out.spread_max == 2.0
+        out = adapt(1.0, q_sel=0.5, p_sel=0.7, min_loss=1.0, V=1.5, D=2.0)
+        assert out["V"] == 1.5
+        assert out["D"] == 2.0
 
     def test_running_definitions(self):
-        st = stats()
-        for phi in (0.0, 2.0, 1.0):
-            st = update_statistics(st, PerformanceMeasure(phi, 0, 1.0), 1.0)
-        assert st.second_moment == 5.0
-        assert st.spread_max == 2.0
+        st = {"min_loss": math.inf, "V": 0.0, "D": 0.0, "rate": math.nan}
+        for loss in (0.0, 2.0, 1.0):  # excesses 0, 2, 1
+            st = adapt(loss, min_loss=st["min_loss"], V=st["V"], D=st["D"],
+                       rate_prev=st["rate"])
+        assert st["V"] == 5.0
+        assert st["D"] == 2.0
 
 
 class TestLearningRate:
     def test_inverse_sqrt(self):
-        assert learning_rate(stats(gamma=1.0, V=3.0, D=1.0)) == 0.5
+        assert adapt(1.0, min_loss=1.0, V=3.0, D=1.0)["rate"] == 0.5
 
     def test_degenerate_marker(self):
-        assert learning_rate(stats(V=0.0, D=0.0)) is None
+        out = adapt(1.0, min_loss=1.0)
+        assert math.isnan(out["rate"])
+        assert out["power"] == 1.0 and out["exponent"] == 0.0
 
     def test_spread_only(self):
-        assert learning_rate(stats(gamma=2.0, V=0.0, D=3.0)) == 2.0 / 3.0
+        assert adapt(1.0, min_loss=1.0, D=3.0, gamma=2.0)["rate"] == 2.0 / 3.0
 
 
 class TestExponentialUpdate:
     def test_zero_excess_is_identity(self):
         model = fixed_arm_model(3)
         log_w = np.array([0.1, -0.2, 0.3])
-        out = exponential_update(log_w, model, 1, 0.0, 0.5)
-        assert np.array_equal(out, log_w)
+        assert adapt(1.0, min_loss=1.0, D=2.0, rate_prev=0.5)["exponent"] == 0.0
+        out, p, _, _ = weight_step(model, log_w, 1, 0.0, 1.0)
+        assert np.allclose(out, log_w - logsumexp(log_w), atol=1e-15)
+        assert np.allclose(p, arm_probabilities(log_w), atol=1e-15)
 
     def test_selected_arm_penalized(self):
+        # rate 0.5 times excess 4 lowers arm 0 by 2 against arm 1
         model = fixed_arm_model(2)
-        out = exponential_update(np.zeros(2), model, 0, 4.0, 0.5)
-        assert out[0] == -2.0
+        out, _, _, _ = weight_step(model, np.zeros(2), 0, 0.5 * 4.0, 1.0)
+        assert out[0] - out[1] == pytest.approx(-2.0, abs=1e-15)
 
     def test_unselected_classes_untouched(self):
         model = fixed_arm_model(3)
         log_w = np.array([0.1, -0.2, 0.3])
-        out = exponential_update(log_w, model, 1, 5.0, 1.0)
-        assert out[0] == log_w[0] and out[2] == log_w[2]
+        out, _, _, _ = weight_step(model, log_w, 1, 5.0, 1.0)
+        assert out[2] - out[0] == pytest.approx(log_w[2] - log_w[0], abs=1e-15)
 
 
 class TestWeightShare:
     def test_identity_transition_power_one(self):
         model = fixed_arm_model(3)
         log_z = np.array([0.0, -1.0, -2.0])
-        out, mass_in, mass_out = weight_share(log_z, model, 1.0)
-        assert np.array_equal(out, log_z)
+        out, _, mass_in, mass_out = weight_step(model, log_z, 0, 0.0, 1.0)
+        assert np.allclose(out, log_z - logsumexp(log_z), atol=1e-15)
         assert mass_in == mass_out
 
     def test_uniform_fixed_point(self):
         model = fixed_share_model(2, 0.25)
-        out, _, _ = weight_share(np.log(np.array([1.0, 1.0])), model, 1.0)
-        assert np.allclose(np.exp(out), [1.0, 1.0], atol=1e-15)
+        out, p, _, _ = weight_step(model, np.log(np.array([1.0, 1.0])), 0, 0.0, 1.0)
+        assert np.allclose(np.exp(out), [0.5, 0.5], atol=1e-15)
+        assert np.allclose(p, [0.5, 0.5], atol=1e-15)
 
     def test_hand_expanded_share(self):
         # z=(4,0), power 1/2 -> z^p=(2,0); rows (0.75,0.25):
-        # w = (0.75*2 + 0.25*0, 0.25*2 + 0.75*0) = (1.5, 0.5)
+        # w = (0.75*2 + 0.25*0, 0.25*2 + 0.75*0) = (1.5, 0.5), mass 2
         model = fixed_share_model(2, 0.25)
         with np.errstate(divide="ignore"):
             log_z = np.log(np.array([4.0, 0.0]))
-        out, _, _ = weight_share(log_z, model, 0.5)
-        assert np.allclose(np.exp(out), [1.5, 0.5], atol=1e-12)
+        out, p, mass_in, mass_out = weight_step(model, log_z, 0, 0.0, 0.5)
+        assert np.allclose(np.exp(out) * math.exp(mass_out), [1.5, 0.5], atol=1e-12)
+        assert np.allclose(p, [0.75, 0.25], atol=1e-12)
+        assert math.exp(mass_in) == pytest.approx(2.0, abs=1e-12)
 
     def test_large_alpha_dense_fallback(self):
-        # alpha > (M-1)/M exercises the dense path; conservation must hold
+        # alpha > (M-1)/M, where leaving is likelier than staying, once took a
+        # dense fallback; the closed form covers it and must conserve mass
         model = fixed_share_model(2, 0.8)
         rng = make_generator(1)
         log_z = rng.normal(size=2)
-        out, mass_in, mass_out = weight_share(log_z, model, 0.7)
+        out, _, mass_in, mass_out = weight_step(model, log_z, 0, 0.0, 0.7)
         assert abs(math.exp(mass_out - mass_in) - 1.0) <= 1e-12
 
     def test_rejects_bad_power(self):
         model = fixed_arm_model(2)
         with pytest.raises(ValueError):
-            weight_share(np.zeros(2), model, 0.0)
+            weight_step(model, np.zeros(2), 0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            weight_share(np.zeros(2), model, 1.5)
-
-    def test_nonstochastic_transition_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="transition rows"):
-            dense_model(
-                arm_of=[0, 1],
-                prior=[0.5, 0.5],
-                transition=[[0.9, 0.2], [0.1, 0.9]],
-            )
+            weight_step(model, np.zeros(2), 0, 0.0, 1.5)
 
 
 class TestInit:
@@ -353,8 +345,9 @@ class TestSnapshot:
         losses = {0: 0.3, 1: 0.9, 2: 0.1, 3: 0.5}
         state = ScaleFreeBandit(fixed_share_model(4, 0.05), gamma=1.7, seed=11)
         self.play(state, losses, 37)
-        snap = json.loads(json.dumps(state.snapshot()))
+        snap = json.loads(json.dumps(state.snapshot(), allow_nan=False))
         twin = ScaleFreeBandit.restore(snap)
+        assert np.array_equal(state.probabilities, twin.probabilities)
         arms_a = self.play(state, losses, 25)
         arms_b = self.play(twin, losses, 25)
         assert arms_a == arms_b
@@ -389,9 +382,40 @@ class TestSnapshot:
             ScaleFreeBandit.restore({"version": 1})
 
     def test_custom_models_not_restorable(self):
-        from scalefree_bandit.competitions import dense_model
-
-        model = dense_model([0, 1], [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
+        model = CompetitionModel(spec="custom", n_arms=2, arm_of=[0, 1],
+                                 log_prior=np.log([0.5, 0.5]), kind="identity")
         snap = ScaleFreeBandit(model, gamma=1.0, seed=0).snapshot()
         with pytest.raises(ValueError, match="model spec"):
             ScaleFreeBandit.restore(snap)
+
+    def test_fresh_snapshot_is_strict_json(self):
+        state = ScaleFreeBandit(fixed_share_model(3, 0.2), gamma=1.0, seed=4)
+        text = json.dumps(state.snapshot(), allow_nan=False)
+        assert json.loads(text)["min_loss"] is None
+        twin = ScaleFreeBandit.restore(json.loads(text))
+        assert twin.stats == state.stats
+        assert np.array_equal(twin.probabilities, state.probabilities)
+
+    def test_legacy_infinity_snapshot_loads(self):
+        state = ScaleFreeBandit(fixed_arm_model(2), gamma=1.0, seed=0)
+        snap = state.snapshot()
+        snap["min_loss"] = math.inf
+        twin = ScaleFreeBandit.restore(json.loads(json.dumps(snap)))
+        assert twin.stats == state.stats
+
+
+class TestNumericalRange:
+    def test_overflowing_losses_raise_named_error(self):
+        state = ScaleFreeBandit(fixed_share_model(4, 0.01), gamma=1.0, seed=0)
+        losses = 1e170 * np.array([0.25, 0.75, 0.75, 0.75])
+        with pytest.raises(NumericalDegeneracyError, match="rate"), np.errstate(over="ignore"):
+            for _ in range(50):
+                state.play_round(lambda arm: losses[arm])
+
+    def test_underflowing_losses_raise_named_error(self):
+        # the squared excess underflows, so the rate would stay undefined
+        state = ScaleFreeBandit(fixed_share_model(4, 0.01), gamma=1.0, seed=0)
+        losses = 1e-200 * np.array([0.25, 0.75, 0.75, 0.75])
+        with pytest.raises(NumericalDegeneracyError, match="rate"), np.errstate(divide="ignore"):
+            for _ in range(50):
+                state.play_round(lambda arm: losses[arm])

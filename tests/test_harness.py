@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from scalefree_bandit import cli
-from scalefree_bandit.competitions import fixed_share_model
-from scalefree_bandit.core import _logsumexp
-from scalefree_bandit.core import weight_share as real_weight_share
+from scalefree_bandit import cli, core
+from scalefree_bandit.competitions import fixed_arm_model, fixed_share_model
+from scalefree_bandit.core import NumericalDegeneracyError
 from scalefree_bandit.environments import scripted, write_csv
 from scalefree_bandit.harness import (
     RUNS_HEADER,
@@ -22,9 +21,7 @@ from scalefree_bandit.harness import (
     simulate_runs,
     simulate_runs_sequential,
 )
-from scalefree_bandit.reference import replay_core
-from scalefree_bandit.rng import make_generator
-from scalefree_bandit.verify import two_segment_stream
+from scalefree_bandit.verify import check_conservation, check_dense_vs_core, two_segment_stream
 
 CONFIG_TEXT = """\
 # tracking demo
@@ -139,19 +136,23 @@ class TestConfig:
             run_experiment(ExperimentConfig(**base, competition="switching:-1"))
 
 
+def assert_engine_matches_sequential(model, stream):
+    vec = simulate_runs(model, 1.5, stream, base_seed=7, runs=5)
+    seq = simulate_runs_sequential(model, 1.5, stream, base_seed=7, runs=5)
+    assert np.array_equal(vec.arms, seq.arms)
+    assert np.array_equal(vec.psi, seq.psi)
+    assert np.array_equal(vec.eps, seq.eps)
+    finite = np.isfinite(seq.eta)
+    assert np.array_equal(finite, np.isfinite(vec.eta))
+    assert np.allclose(vec.eta[finite], seq.eta[finite], rtol=1e-12, atol=0)
+    assert np.allclose(vec.final_probs, seq.final_probs, rtol=1e-11, atol=1e-13)
+
+
 class TestEngineEquivalence:
     def test_vectorized_matches_sequential_runs(self):
         stream = two_segment_stream(horizon=300)
-        model = fixed_share_model(4, 1 / 300)
-        vec = simulate_runs(model, 1.5, stream, base_seed=7, runs=5)
-        seq = simulate_runs_sequential(model, 1.5, stream, base_seed=7, runs=5)
-        assert np.array_equal(vec.arms, seq.arms)
-        assert np.array_equal(vec.psi, seq.psi)
-        assert np.array_equal(vec.eps, seq.eps)
-        finite = np.isfinite(seq.eta)
-        assert np.array_equal(finite, np.isfinite(vec.eta))
-        assert np.allclose(vec.eta[finite], seq.eta[finite], rtol=1e-12, atol=0)
-        assert np.allclose(vec.final_probs, seq.final_probs, rtol=1e-11, atol=1e-13)
+        for model in (fixed_share_model(4, 1 / 300), fixed_arm_model(4)):
+            assert_engine_matches_sequential(model, stream)
 
     def test_engine_matches_core_at_full_horizon(self):
         # the Monte Carlo acceptance runs go through the engine; pin its
@@ -164,19 +165,31 @@ class TestEngineEquivalence:
         assert np.array_equal(vec.psi, seq.psi)
         assert np.allclose(vec.final_probs, seq.final_probs, rtol=1e-10, atol=1e-12)
 
-    def test_engine_rejects_rich_models(self):
-        from scalefree_bandit.competitions import dense_model
+    def test_engine_matches_sequential_at_extreme_alpha(self):
+        # alpha > (M-1)/M: leaving is likelier than staying
+        stream = two_segment_stream(n_arms=2, horizon=300)
+        assert_engine_matches_sequential(fixed_share_model(2, 0.9), stream)
 
-        stream = two_segment_stream(horizon=10)
-        model = dense_model([0, 1, 1, 2], np.full(4, 0.25), np.full((4, 4), 0.25))
-        with pytest.raises(ValueError, match="one class per arm"):
-            simulate_runs(model, 1.0, stream, 0, 1)
+    def test_arm_indices_past_int16(self):
+        # loss = arm index, so a wrapped arm would show as a wrong loss
+        n_arms = 40_000
+        stream = scripted(np.tile(np.arange(n_arms, dtype=np.float64), (3, 1)))
+        model = fixed_share_model(n_arms, 0.01)
+        vec = simulate_runs(model, 1.0, stream, base_seed=1, runs=4)
+        seq = simulate_runs_sequential(model, 1.0, stream, base_seed=1, runs=4)
+        assert vec.arms.max() > np.iinfo(np.int16).max
+        assert np.array_equal(vec.arms, seq.arms)
+        assert np.array_equal(vec.losses, vec.arms.astype(np.float64))
+        assert np.array_equal(seq.losses, seq.arms.astype(np.float64))
 
-    def test_engine_rejects_extreme_alpha(self):
-        # leaving likelier than staying needs the dense path: sequential only
-        stream = two_segment_stream(horizon=10)
-        with pytest.raises(ValueError, match="alpha"):
-            simulate_runs(fixed_share_model(2, 0.9), 1.0, stream, 0, 1)
+    def test_overflowing_losses_raise_named_error(self):
+        cfg = ExperimentConfig(
+            M=4, T=200, runs=3, seed=5, gamma=1.0, model="switching:0.01",
+            env="piecewise", env_seed=2, noise_width=0.1,
+            segments="100@0.2|0.7|0.7|0.7;100@0.7|0.2|0.7|0.7", affine="1e170,0",
+        )
+        with pytest.raises(NumericalDegeneracyError, match="rate"), np.errstate(over="ignore"):
+            run_experiment(cfg)
 
 
 class TestRunExperiment:
@@ -292,21 +305,28 @@ class TestRunExperiment:
         assert report.bound_satisfied
 
 
-class TestBrokenPowerNegativeControl:
-    def test_conservation_check_catches_dropped_power(self, monkeypatch):
-        def broken_share(log_z, model, power):
-            out, _, _ = real_weight_share(log_z, model, 1.0)  # power "forgotten"
-            return out, _logsumexp(power * log_z), _logsumexp(out)
+class TestNegativeControls:
+    """Each check must fail on a kernel broken in the way it guards against."""
 
-        monkeypatch.setattr("scalefree_bandit.core.weight_share", broken_share)
-        rng = make_generator(3)
-        model = fixed_share_model(3, 0.2)
-        losses = rng.random((60, 3)) * 2.0
-        arms = rng.integers(0, 3, size=60)
-        run = replay_core(model, 1.0, losses, arms=arms)
-        log_in, log_out = run["conservation"][:, 0], run["conservation"][:, 1]
-        worst = float(np.abs(np.expm1(log_out - log_in)).max())
-        assert worst > 1e-9  # the suite would flag this build
+    def test_dense_oracle_catches_dropped_power(self, monkeypatch):
+        real = core.weight_step
+
+        def powerless(model, log_w, sel, exponent, power):
+            return real(model, log_w, sel, exponent, 1.0)  # power "forgotten"
+
+        monkeypatch.setattr(core, "weight_step", powerless)
+        result = check_dense_vs_core()
+        assert not result.passed and result.deviation > 1e-9
+
+    def test_conservation_check_catches_nonstochastic_share(self, monkeypatch):
+        def leaky_share(z, total, alpha):
+            # spreads the whole total instead of total - z, so mass grows
+            return (1.0 - alpha) * z + alpha / (z.shape[-1] - 1) * total
+
+        monkeypatch.setattr(core, "fixed_share", leaky_share)
+        core_result, _ = check_conservation()
+        assert core_result.name == "conservation-core"
+        assert not core_result.passed and core_result.deviation > 1e-9
 
 
 class TestCli:
@@ -337,6 +357,14 @@ class TestCli:
         assert code == 0
         assert "PASS oracle-dense-vs-core" in out
         assert "FAIL" not in out
+
+    def test_numerical_error_exit_code(self, capsys, config_file):
+        code = cli.main(["run", "--config", str(config_file),
+                         "--override", "affine=1e170,0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "bound=" not in captured.out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from scalefree_bandit.competitions import (
     complexity,
-    dense_model,
     fixed_share_model,
     switch_count,
 )
 from scalefree_bandit.core import (
-    arm_marginals,
+    arm_probabilities,
     mixture_coefficient,
     selection_probabilities,
-    weight_share,
+    weight_step,
 )
 from scalefree_bandit.environments import affine, scripted
 from scalefree_bandit.reference import replay_core
@@ -44,35 +43,23 @@ def test_selection_probabilities_sum_and_floor(p, eps):
     shift=st.floats(min_value=-200, max_value=200),
 )
 def test_arm_marginals_shift_invariant(log_w, shift):
-    from scalefree_bandit.competitions import fixed_arm_model
-
-    model = fixed_arm_model(len(log_w))
-    base = arm_marginals(np.array(log_w), model)
-    moved = arm_marginals(np.array(log_w) + shift, model)
+    base = arm_probabilities(np.array(log_w))
+    moved = arm_probabilities(np.array(log_w) + shift)
     assert np.abs(base - moved).max() <= 1e-12
 
 
-@st.composite
-def stochastic_model(draw):
-    n = draw(st.integers(min_value=2, max_value=5))
-    rows = []
-    for _ in range(n):
-        row = np.array(draw(st.lists(st.floats(min_value=1e-3, max_value=1.0),
-                                     min_size=n, max_size=n)))
-        rows.append(row / row.sum())
-    prior = np.full(n, 1.0 / n)
-    return dense_model(np.arange(n), prior, np.array(rows))
-
-
 @given(
-    model=stochastic_model(),
+    n_arms=st.integers(min_value=2, max_value=5),
+    alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
     raw=st.lists(st.floats(min_value=-30, max_value=30), min_size=5, max_size=5),
     power=st.floats(min_value=1e-3, max_value=1.0),
 )
 @settings(max_examples=60)
-def test_weight_share_conserves_mass(model, raw, power):
-    log_z = np.array(raw[: model.n_classes])
-    _, mass_in, mass_out = weight_share(log_z, model, power)
+def test_weight_share_conserves_mass(n_arms, alpha, raw, power):
+    # alpha ranges over all of (0, 1), past (M-1)/M where leaving is likelier
+    model = fixed_share_model(n_arms, alpha)
+    log_z = np.array(raw[:n_arms])
+    _, _, mass_in, mass_out = weight_step(model, log_z, 0, 0.0, power)
     assert abs(math.expm1(mass_out - mass_in)) <= 1e-12
 
 
