@@ -137,10 +137,11 @@ def adaptive_step(loss, q_sel, p_sel, min_loss, second_moment, spread_max, rate_
                   gamma, fixed_rate=None):
     """Statistics, rate, exponent and power of one round, per run.
 
-    The rate is gamma / sqrt(second moment + spread^2), NaN while both are
-    zero; the exponent is the previous rate (the current one while the
-    previous is NaN) times the excess; the power is the rate ratio, 1 while
-    the previous rate is NaN. ``fixed_rate`` freezes the rate (power 1).
+    The rate is gamma / sqrt(second moment + spread^2), NaN while that sum is
+    zero (no excess yet, or only excesses whose squares underflow); the
+    exponent is the previous rate (the current one while the previous is NaN)
+    times the excess, 0 while that rate is NaN; the power is the rate ratio, 1
+    while the previous rate is NaN. ``fixed_rate`` freezes the rate (power 1).
 
     Returns (min_loss, second_moment, spread_max, rate, exponent, power).
     """
@@ -149,10 +150,10 @@ def adaptive_step(loss, q_sel, p_sel, min_loss, second_moment, spread_max, rate_
     second_moment = second_moment + p_sel * excess * excess
     spread_max = _where(excess <= spread_max, spread_max, excess)  # a NaN excess propagates
     if fixed_rate is None:
-        # NaN only before the first excess; after it, a zero denominator is an underflow
+        # the sum is non-decreasing, so a NaN rate only ever fills a prefix
         denom = second_moment + spread_max * spread_max
-        rate = gamma / np.sqrt(_where(spread_max > 0.0, denom, math.nan))
-        if not _all((spread_max == 0.0) | ((rate > 0.0) & (rate < math.inf))):
+        rate = gamma / np.sqrt(_where(denom > 0.0, denom, math.nan))
+        if not _all((denom == 0.0) | ((rate > 0.0) & (rate < math.inf))):
             raise NumericalDegeneracyError("adaptive rate left (0, inf): extreme losses or gamma")
         degenerate = rate_prev != rate_prev  # NaN: no excess before this round
         exponent_rate = _where(degenerate, rate, rate_prev)
@@ -160,7 +161,8 @@ def adaptive_step(loss, q_sel, p_sel, min_loss, second_moment, spread_max, rate_
     else:
         rate = exponent_rate = fixed_rate
         power = 1.0
-    exponent = _where(excess > 0.0, exponent_rate * excess, 0.0)
+    exponent = exponent_rate * excess
+    exponent = _where(exponent > 0.0, exponent, 0.0)  # 0, not NaN, while the rate is NaN
     return min_loss, second_moment, spread_max, rate, exponent, power
 
 

@@ -16,6 +16,7 @@ from scalefree_bandit.core import (
     selection_probabilities,
     weight_step,
 )
+from scalefree_bandit.reference import replay_core
 from scalefree_bandit.rng import make_generator
 
 
@@ -412,10 +413,24 @@ class TestNumericalRange:
             for _ in range(50):
                 state.play_round(lambda arm: losses[arm])
 
-    def test_underflowing_losses_raise_named_error(self):
-        # the squared excess underflows, so the rate would stay undefined
-        state = ScaleFreeBandit(fixed_share_model(4, 0.01), gamma=1.0, seed=0)
+    def test_underflowing_excess_keeps_the_rate_undefined(self):
+        # every squared excess underflows, so the rate sum stays zero: the
+        # rounds count as the degenerate prefix (no rate, no penalty), as in
+        # the reference recursion, instead of raising or producing NaN
+        model = fixed_share_model(4, 0.01)
+        state = ScaleFreeBandit(model, gamma=1.0, seed=0)
         losses = 1e-200 * np.array([0.25, 0.75, 0.75, 0.75])
-        with pytest.raises(NumericalDegeneracyError, match="rate"), np.errstate(divide="ignore"):
-            for _ in range(50):
-                state.play_round(lambda arm: losses[arm])
+        for _ in range(50):
+            state.play_round(lambda arm: losses[arm])
+        assert state.stats.spread_max > 0.0
+        assert state.stats.rate_prev is None
+        assert np.array_equal(state.probabilities, arm_probabilities(model.log_prior))
+
+    def test_underflowing_prefix_then_normal_losses(self):
+        # a lone underflowing excess before ordinary losses leaves the run finite
+        matrix = np.zeros((4, 2))
+        matrix[3, 1] = 3.1297248454942404e-196
+        matrix = np.vstack([matrix, np.array([[0.0, 1.0]] * 6)])
+        run = replay_core(fixed_share_model(2, 0.5), 1.0, matrix, seed=0)
+        assert np.isfinite(run["final"].log_weights).all()
+        assert np.abs(run["p"].sum(axis=1) - 1.0).max() <= 1e-12
