@@ -1,6 +1,6 @@
 """Scale- and translation-invariant adversarial multi-armed bandit toolkit.
 
-Modules: :mod:`core` (the learner), :mod:`competitions` (class spaces and
+Modules: :mod:`core` (the learner), :mod:`competitions` (competition models and
 complexity), :mod:`environments` (loss streams), :mod:`reference`
 (verification oracles and the Exp3 baseline), :mod:`harness` (experiment
 runner and CSV output), :mod:`verify` (self-check suites).

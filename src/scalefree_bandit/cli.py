@@ -13,9 +13,7 @@ from .competitions import switch_count
 
 def _cmd_run(args) -> int:
     cfg = harness.parse_config(args.config)
-    if args.override:
-        cfg = harness.apply_overrides(cfg, args.override)
-        harness.validate_config(cfg)
+    cfg = harness.apply_overrides(cfg, args.override)
     report = harness.run_experiment(cfg)
     k = switch_count(report.comp_path)
     print(f"model={cfg.model} gamma={report.gamma:.6g} runs={cfg.runs} T={cfg.T} M={cfg.M}")

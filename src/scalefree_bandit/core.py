@@ -231,7 +231,7 @@ class ScaleFreeBandit:
     Parameters
     ----------
     model:
-        Competition model supplying the class space and transitions.
+        Competition model supplying the prior and transitions.
     gamma:
         Positive tuning constant of the adaptive learning rate. A good
         default is the square root of the model's complexity budget

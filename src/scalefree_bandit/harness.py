@@ -8,7 +8,7 @@ a comment). Keys are exactly the fields of :class:`ExperimentConfig`:
 ``T``            horizon (rounds per run)
 ``runs``         independent runs
 ``seed``         base seed; run r uses the spawned child stream (seed, r)
-``gamma``        positive float, or ``auto`` = sqrt(complexity budget)
+``gamma``        finite positive float, or ``auto`` = sqrt(complexity budget)
 ``model``        ``fixed`` or ``switching:<alpha>``
 ``env``          ``piecewise`` or ``csv:<path>``
 ``env_seed``     seed of the piecewise noise stream
@@ -81,8 +81,8 @@ def _convert(key: str, raw: str):
         if raw == "auto":
             return raw
         value = float(raw)
-        if not value > 0:
-            raise ValueError("must be positive")
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError("must be finite and positive")
         return value
     return raw
 

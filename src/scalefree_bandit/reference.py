@@ -6,7 +6,7 @@ route:
 * :class:`DenseReference` -- the bandit recursion transcribed with plain
   nested loops in linear-domain arithmetic, no log-space tricks.
 * :func:`sequence_mixture_oracle` -- for a constant learning rate, the
-  class recursion collapses to an explicit weighting over every arm
+  weight recursion collapses to an explicit weighting over every arm
   sequence; this enumerates them all.
 * :func:`best_fixed_arm` / :func:`best_switching_sequence` -- hindsight
   competition oracles (brute force column sums, and a switch-budgeted
@@ -54,15 +54,10 @@ class DenseReference:
 
     def __init__(self, model: CompetitionModel, gamma: float | None,
                  fixed_rate: float | None = None):
-        self.model = model
         self.n_arms = model.n_arms
-        self.n_classes = model.n_classes
         self.gamma = gamma
         self.fixed_rate = fixed_rate
-        self.transition = [
-            [float(x) for x in row] for row in model.transition_matrix()
-        ]
-        self.arm_of = [int(a) for a in model.arm_of]
+        self.transition = model.transition_matrix().tolist()
         self.weights = [math.exp(lp) for lp in model.log_prior]
         self.t = 1
         self.min_loss = math.inf
@@ -72,11 +67,8 @@ class DenseReference:
         self.last_conservation: tuple[float, float] | None = None
 
     def probabilities(self) -> list[float]:
-        arm_w = [0.0] * self.n_arms
-        for c, w in enumerate(self.weights):
-            arm_w[self.arm_of[c]] += w
-        total = sum(arm_w)
-        return [w / total for w in arm_w]
+        total = sum(self.weights)
+        return [w / total for w in self.weights]
 
     def step(self, arm: int, loss: float) -> dict:
         """One scripted round; returns the round's observable quantities."""
@@ -102,12 +94,9 @@ class DenseReference:
                 exponent_rate = self.rate_prev
                 power = rate / self.rate_prev
 
-        z = []
-        for c, w in enumerate(self.weights):
-            if self.arm_of[c] == arm and excess != 0.0 and exponent_rate:
-                z.append(w * math.exp(-exponent_rate * excess))
-            else:
-                z.append(w)
+        z = list(self.weights)
+        if excess != 0.0 and exponent_rate:
+            z[arm] *= math.exp(-exponent_rate * excess)
 
         mass_in = 0.0
         z_pow = []
@@ -115,12 +104,12 @@ class DenseReference:
             zp = zc ** power
             z_pow.append(zp)
             mass_in += zp
-        w_next = [0.0] * self.n_classes
-        for c_next in range(self.n_classes):
+        w_next = [0.0] * self.n_arms
+        for m_next in range(self.n_arms):
             acc = 0.0
-            for c_prev in range(self.n_classes):
-                acc += self.transition[c_prev][c_next] * z_pow[c_prev]
-            w_next[c_next] = acc
+            for m_prev in range(self.n_arms):
+                acc += self.transition[m_prev][m_next] * z_pow[m_prev]
+            w_next[m_next] = acc
         mass_out = sum(w_next)
         self.last_conservation = (mass_in, mass_out)
         self.weights = [w / mass_out for w in w_next]
@@ -196,9 +185,9 @@ def replay_core(model: CompetitionModel, gamma: float | None, losses: np.ndarray
 
 def sequence_mixture_oracle(model: CompetitionModel, losses: np.ndarray,
                             arms, rate: float) -> np.ndarray:
-    """Arm probabilities from the explicit mixture over all class paths.
+    """Arm probabilities from the explicit mixture over all arm paths.
 
-    With the learning rate held constant the recursive class update equals
+    With the learning rate held constant the recursive weight update equals
     a direct weighting of every possible path: prior times transitions
     times exp(-rate * accumulated excess along the path), where the excess
     is nonzero only on the scripted selected arm of each past round. The
@@ -206,13 +195,11 @@ def sequence_mixture_oracle(model: CompetitionModel, losses: np.ndarray,
     """
     arms = np.asarray(arms, dtype=np.intp)
     horizon = arms.shape[0]
-    n = model.n_classes
+    n = model.n_arms
     if n ** horizon > 2 ** 20:
         raise ValueError(f"{n}^{horizon} paths is too many to enumerate")
-    log_t = model.log_transition_matrix()
     prior = np.exp(model.log_prior)
-    trans = np.exp(log_t)
-    arm_of = model.arm_of
+    trans = model.transition_matrix()
 
     p_hist = np.empty((horizon, model.n_arms))
     excess = np.zeros(horizon)
@@ -225,9 +212,9 @@ def sequence_mixture_oracle(model: CompetitionModel, losses: np.ndarray,
                 weight *= trans[path[i - 1], path[i]]
             penalty = 0.0
             for i in range(t):
-                if arm_of[path[i]] == arms[i]:
+                if path[i] == arms[i]:
                     penalty += excess[i]
-            arm_w[arm_of[path[-1]]] += weight * math.exp(-rate * penalty)
+            arm_w[path[-1]] += weight * math.exp(-rate * penalty)
         p = arm_w / arm_w.sum()
         p_hist[t] = p
         eps = mixture_coefficient(t + 1, model.n_arms)
@@ -252,9 +239,16 @@ def best_fixed_arm(stream: LossStream) -> tuple[int, float]:
 def best_switching_sequence(stream: LossStream, max_switches: int) -> tuple[np.ndarray, float]:
     """Minimum-loss arm sequence using at most `max_switches` changes.
 
-    Suffix dynamic program over (round, arm, switches left), O(T*M*k) via
-    the smallest/second-smallest trick, then a forward greedy walk that
-    yields the lexicographically smallest minimizing path.
+    Suffix dynamic program over (round, arm, switches left), O(T*M*k), then
+    a forward greedy walk that yields the lexicographically smallest
+    minimizing path.
+
+    A suffix never costs more with more switches left, and this holds
+    exactly in floating point: the minimum is monotone, and adding the same
+    loss to both sides is monotone under round-to-nearest. So switching
+    "to" the current arm never beats staying on it, and the best switch
+    from any arm is the plain minimum of the column one budget down; no
+    second-smallest entry is needed to exclude the current arm.
     """
     if max_switches < 0:
         raise ValueError("switch budget must be >= 0")
@@ -264,37 +258,24 @@ def best_switching_sequence(stream: LossStream, max_switches: int) -> tuple[np.n
     # suffix[t, m, j]: best loss of rounds t.. given arm m at t and j switches left
     suffix = np.zeros((horizon + 1, n_arms, k + 1))
     for t in range(horizon - 1, -1, -1):
-        nxt = suffix[t + 1]
-        for j in range(k + 1):
-            best = nxt[:, j].copy()
-            if j > 0:
-                col = nxt[:, j - 1]
-                order = np.argsort(col, kind="stable")
-                lead, runner = order[0], order[1] if n_arms > 1 else order[0]
-                other = np.full(n_arms, col[lead])
-                other[lead] = col[runner]
-                np.minimum(best, other, out=best)
-            suffix[t, :, j] = matrix[t] + best
+        nxt, cur = suffix[t + 1], suffix[t]
+        cur[:, 0] = nxt[:, 0]
+        np.minimum(nxt[:, 1:], nxt[:, :-1].min(axis=0), out=cur[:, 1:])
+        cur += matrix[t][:, None]
     path = np.empty(horizon, dtype=np.intp)
     j = k
     path[0] = int(np.argmin(suffix[0, :, k]))
     for t in range(horizon - 1):
         m = path[t]
-        stay = suffix[t + 1, m, j]
-        if j > 0:
-            col = suffix[t + 1, :, j - 1]
-            best = min(stay, col.min())
-        else:
-            best = stay
-        # smallest next arm attaining the optimum; staying costs no switch
-        chosen = None
-        for m2 in range(n_arms):
-            value = stay if m2 == m else (suffix[t + 1, m2, j - 1] if j > 0 else None)
-            if value is not None and value == best:
-                chosen = m2
-                break
-        path[t + 1] = chosen
-        if chosen != m:
+        if j == 0:
+            path[t + 1:] = m
+            break
+        # switch candidates, with the current arm at its stay value; argmin
+        # takes the smallest arm attaining the optimum, and staying costs no switch
+        candidates = suffix[t + 1, :, j - 1].copy()
+        candidates[m] = suffix[t + 1, m, j]
+        path[t + 1] = np.argmin(candidates)
+        if path[t + 1] != m:
             j -= 1
     return path, path_loss(stream, path)
 
@@ -328,26 +309,24 @@ class Exp3Baseline:
 
     Needs its loss range declared up front; observations outside the range
     are rejected, which is precisely the scale sensitivity the adaptive
-    learner avoids. Default rate schedule: sqrt(log(M) / (M * t)).
+    learner avoids. Rate schedule: sqrt(log(M) / (M * t)).
     """
 
     def __init__(self, n_arms: int, rng: np.random.Generator,
-                 rate_schedule=None, loss_range: tuple[float, float] = (0.0, 1.0)):
+                 loss_range: tuple[float, float] = (0.0, 1.0)):
         lo, hi = loss_range
         if not hi > lo:
             raise ValueError("declared loss range must be non-degenerate")
         self.n_arms = n_arms
         self.rng = rng
         self.loss_range = (float(lo), float(hi))
-        self.rate_schedule = rate_schedule or (
-            lambda t: math.sqrt(math.log(n_arms) / (n_arms * t))
-        )
         self.cum_estimate = np.zeros(n_arms)
         self.t = 1
         self._pending: tuple[int, float] | None = None
 
     def probabilities(self) -> np.ndarray:
-        scores = -self.rate_schedule(self.t) * self.cum_estimate
+        rate = math.sqrt(math.log(self.n_arms) / (self.n_arms * self.t))
+        scores = -rate * self.cum_estimate
         scores -= scores.max()
         e = np.exp(scores)
         return e / e.sum()
@@ -372,11 +351,10 @@ class Exp3Baseline:
         self.t += 1
 
 
-def run_exp3(stream: LossStream, seed: int = 0, rate_schedule=None,
+def run_exp3(stream: LossStream, seed: int = 0,
              loss_range: tuple[float, float] = (0.0, 1.0)) -> dict:
     """Play the Exp3 baseline against a stream; selection trajectory."""
-    learner = Exp3Baseline(stream.n_arms, make_generator(seed),
-                           rate_schedule=rate_schedule, loss_range=loss_range)
+    learner = Exp3Baseline(stream.n_arms, make_generator(seed), loss_range=loss_range)
     arms = np.empty(stream.horizon, dtype=np.intp)
     losses = np.empty(stream.horizon)
     for t in range(stream.horizon):

@@ -383,7 +383,7 @@ class TestSnapshot:
             ScaleFreeBandit.restore({"version": 1})
 
     def test_custom_models_not_restorable(self):
-        model = CompetitionModel(spec="custom", n_arms=2, arm_of=[0, 1],
+        model = CompetitionModel(spec="custom", n_arms=2,
                                  log_prior=np.log([0.5, 0.5]), kind="identity")
         snap = ScaleFreeBandit(model, gamma=1.0, seed=0).snapshot()
         with pytest.raises(ValueError, match="model spec"):

@@ -72,10 +72,11 @@ class TestConfig:
         cfg = apply_overrides(cfg, ["runs=7", "gamma=2.5"])
         assert cfg.runs == 7 and cfg.gamma == 2.5
 
-    def test_nonpositive_gamma_rejected(self, config_file):
+    @pytest.mark.parametrize("raw", ["-1", "inf", "nan"])
+    def test_nonpositive_gamma_rejected(self, config_file, raw):
         cfg = parse_config(config_file)
         with pytest.raises(ConfigError, match="gamma"):
-            apply_overrides(cfg, ["gamma=-1"])
+            apply_overrides(cfg, [f"gamma={raw}"])
 
     def test_validation_bounds(self):
         with pytest.raises(ConfigError, match="'runs'"):

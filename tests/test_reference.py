@@ -1,7 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from scalefree_bandit.competitions import fixed_arm_model, fixed_share_model
+from scalefree_bandit.competitions import fixed_arm_model, fixed_share_model, switch_count
 from scalefree_bandit.environments import scripted
 from scalefree_bandit.reference import (
     DenseReference,
@@ -130,10 +133,15 @@ class TestBestSwitchingSequence:
         assert np.array_equal(path, matrix.argmin(axis=1))
         assert loss == pytest.approx(matrix.min(axis=1).sum(), abs=1e-12)
 
-    def test_matches_enumeration(self):
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.random((6, 3)),
+        # {0, 1, 2}-valued losses: ties everywhere
+        lambda rng: rng.integers(0, 3, size=(6, 3)).astype(np.float64),
+    ], ids=["continuous", "ties"])
+    def test_matches_enumeration(self, draw):
         rng = make_generator(5)
         for _ in range(10):
-            stream = scripted(rng.random((6, 3)))
+            stream = scripted(draw(rng))
             k = int(rng.integers(0, 3))
             dp_path, dp_loss = best_switching_sequence(stream, k)
             bf_path, bf_loss = enumerate_best_sequence(stream, k)
@@ -149,7 +157,31 @@ class TestBestSwitchingSequence:
         rng = make_generator(6)
         stream = scripted(rng.random((30, 4)))
         losses = [best_switching_sequence(stream, k)[1] for k in range(6)]
-        assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
+        assert all(a >= b for a, b in zip(losses, losses[1:]))
+
+    def test_matches_forward_dp(self):
+        # prefix DP over (arm at t, switches used), O(T*M^2*k), written
+        # independently of the suffix table; enumeration cannot reach T=200
+        rng = make_generator(8)
+        horizon, n_arms = 200, 5
+        for k in (0, 1, 4, 10):
+            matrix = rng.random((horizon, n_arms))
+            prefix = np.full((n_arms, k + 1), np.inf)
+            prefix[:, 0] = matrix[0]
+            for t in range(1, horizon):
+                nxt = np.full((n_arms, k + 1), np.inf)
+                for m in range(n_arms):
+                    for j in range(k + 1):
+                        best = prefix[m, j]
+                        if j > 0:
+                            for m_prev in range(n_arms):
+                                if m_prev != m:
+                                    best = min(best, prefix[m_prev, j - 1])
+                        nxt[m, j] = best + matrix[t, m]
+                prefix = nxt
+            path, loss = best_switching_sequence(scripted(matrix), k)
+            assert switch_count(path) <= k
+            assert loss == pytest.approx(prefix.min(), rel=1e-12)
 
     def test_beats_random_paths(self):
         rng = make_generator(7)
@@ -210,3 +242,15 @@ def test_switching_oracle_rejects_negative_budget():
 def test_path_loss_is_prefix_order_sum():
     matrix = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
     assert path_loss(scripted(matrix), [0, 1, 0]) == 1.0 + 20.0 + 3.0
+
+
+def test_scale_invariance_script_runs(capsys):
+    # the demo script is not imported by anything else; run its main() once
+    script = Path(__file__).resolve().parents[1] / "scripts" / "show_scale_invariance.py"
+    spec = importlib.util.spec_from_file_location("show_scale_invariance", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main()
+    out = capsys.readouterr().out
+    assert out.count("identical selections = True") == 2
+    assert "100x stream: rejected" in out
