@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 
 import numpy as np
 
@@ -119,9 +120,31 @@ def affine(base: LossStream, a: float, b: float) -> LossStream:
     return LossStream(a * root.matrix + b, _root=root, _scale=a, _offset=b)
 
 
+def _first_duplicate(rounds: array, arms: array) -> int | None:
+    """Index of the first row whose (round, arm) pair an earlier row holds."""
+    t = np.frombuffer(rounds, dtype=np.int64)
+    m = np.frombuffer(arms, dtype=np.int64)
+    order = np.lexsort((np.arange(t.size), m, t))
+    t, m = t[order], m[order]
+    repeats = order[1:][(t[1:] == t[:-1]) & (m[1:] == m[:-1])]
+    return int(repeats.min()) if repeats.size else None
+
+
 def load_csv(path) -> LossStream:
-    """Read a scripted stream (header t,arm,loss; 0-based t, 1-based arm)."""
-    entries: dict[tuple[int, int], float] = {}
+    """Read a scripted stream (header t,arm,loss; 0-based t, 1-based arm).
+
+    An error names the file and the line of the first fault in file order.
+    """
+    rounds, arms, losses, lines = array("q"), array("q"), array("d"), array("q")
+
+    def first_fault(line_no=None, message=None) -> ValueError | None:
+        """A duplicate among the rows read so far, else the fault given, if any."""
+        dup = _first_duplicate(rounds, arms)
+        if dup is not None:
+            line_no = lines[dup]
+            message = f"duplicate entry for round {rounds[dup]}, arm {arms[dup] + 1}"
+        return None if message is None else ValueError(f"{path}:{line_no}: {message}")
+
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -131,23 +154,30 @@ def load_csv(path) -> LossStream:
             if not row:
                 continue
             if len(row) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
-            t, arm, loss = int(row[0]), int(row[1]), float(row[2])
+                raise first_fault(line_no, f"expected 3 fields, got {len(row)}")
+            try:
+                t, arm, loss = int(row[0]), int(row[1]), float(row[2])
+            except ValueError as exc:
+                raise first_fault(line_no, str(exc)) from None
             if t < 0:
-                raise ValueError(f"{path}:{line_no}: negative round {t}")
+                raise first_fault(line_no, f"negative round {t}")
             if arm < 1:
-                raise ValueError(f"{path}:{line_no}: arms are 1-based, got {arm}")
-            key = (t, arm - 1)
-            if key in entries:
-                raise ValueError(f"{path}:{line_no}: duplicate entry for round {t}, arm {arm}")
-            entries[key] = loss
-    if not entries:
+                raise first_fault(line_no, f"arms are 1-based, got {arm}")
+            if not math.isfinite(loss):
+                raise first_fault(line_no, f"loss must be finite, got {loss}")
+            rounds.append(t)
+            arms.append(arm - 1)
+            losses.append(loss)
+            lines.append(line_no)
+    if not rounds:
         raise ValueError(f"{path}: empty stream")
-    horizon = max(t for t, _ in entries) + 1
-    n_arms = max(m for _, m in entries) + 1
-    matrix = np.full((horizon, n_arms), np.nan)
-    for (t, m), loss in entries.items():
-        matrix[t, m] = loss
+    error = first_fault()
+    if error is not None:
+        raise error
+    t = np.frombuffer(rounds, dtype=np.int64)
+    m = np.frombuffer(arms, dtype=np.int64)
+    matrix = np.full((int(t.max()) + 1, int(m.max()) + 1), np.nan)
+    matrix[t, m] = np.frombuffer(losses)
     if np.isnan(matrix).any():
         t, m = np.argwhere(np.isnan(matrix))[0]
         raise ValueError(f"{path}: missing loss for round {t}, arm {m + 1}")

@@ -32,8 +32,14 @@ adaptive rate is still degenerate.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import math
+import os
+import shutil
+import signal
+import sys
+import threading
+import traceback
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -46,6 +52,7 @@ from .rng import run_generator
 
 RUNS_HEADER = "run,t,arm,loss,cum_loss,comp_arm,comp_loss,regret,eta,epsilon,psi"
 SUMMARY_HEADER = "t,mean_regret,stderr_regret,bound"
+_BLOCK_ROUNDS = 256  # rounds of one run formatted at a time; bounds the writers' memory
 
 
 class ConfigError(ValueError):
@@ -386,49 +393,119 @@ def run_experiment(cfg: ExperimentConfig, engine=simulate_runs) -> RegretReport:
     return report
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _part_path(path, chunk: int) -> str:
+    """File that the worker formatting run chunk `chunk` (>= 1) writes."""
+    return f"{path}.{chunk}.part"
+
+
+def _write_run_rows(fh, record: SimulationRecord, comp_path: np.ndarray,
+                    comp_losses: np.ndarray, runs: range) -> None:
+    """Write the rows of `runs` to the binary file `fh`, a block of rounds at a time.
+
+    Rows are what ``csv.writer`` made of them: fields joined by ``,``, floats
+    as ``repr``, each row ended by ``\\r\\n``.
+    """
+    horizon = record.arms.shape[1]
+    comp_cum = np.cumsum(comp_losses)
+    for r in runs:
+        cum = np.cumsum(record.losses[r])
+        regret = cum - comp_cum
+        for lo in range(0, horizon, _BLOCK_ROUNDS):
+            hi = min(lo + _BLOCK_ROUNDS, horizon)
+            block = zip(
+                range(lo, hi),
+                np.add(record.arms[r, lo:hi], 1, dtype=np.intp).tolist(),
+                record.losses[r, lo:hi].tolist(),
+                cum[lo:hi].tolist(),
+                (comp_path[lo:hi] + 1).tolist(),
+                comp_losses[lo:hi].tolist(),
+                regret[lo:hi].tolist(),
+                record.eta[r, lo:hi].tolist(),
+                record.eps[lo:hi].tolist(),
+                record.psi[r, lo:hi].tolist(),
+            )
+            fh.writelines(
+                f"{r},{t},{arm},{loss!r},{c!r},{cm},{cl!r},{g!r},{e!r},{ep!r},{ps!r}\r\n".encode()
+                for t, arm, loss, c, cm, cl, g, e, ep, ps in block
+            )
+
+
+def _fork_writer(part: str, *args) -> int:
+    """Fork a worker that writes :func:`_write_run_rows` output to `part`; its pid."""
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        with open(part, "wb") as fh:
+            _write_run_rows(fh, *args)
+        status = 0
+    except BaseException:
+        # report through the exit status: nothing may unwind into the
+        # caller's frames, which this forked copy shares with the parent
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
 def write_runs_csv(path, record: SimulationRecord, comp_path: np.ndarray,
                    comp_losses: np.ndarray) -> None:
-    runs, horizon = record.arms.shape
-    cum_losses = np.cumsum(record.losses, axis=1)
-    comp_cum = np.cumsum(comp_losses)
-    with open(path, "w", newline="") as fh:
-        fh.write(RUNS_HEADER + "\n")
-        writer = csv.writer(fh)
-        for r in range(runs):
-            arm_row = record.arms[r]
-            loss_row = record.losses[r]
-            cum_row = cum_losses[r]
-            eta_row = record.eta[r]
-            psi_row = record.psi[r]
-            writer.writerows(
-                (
-                    r,
-                    t,
-                    int(arm_row[t]) + 1,
-                    repr(float(loss_row[t])),
-                    repr(float(cum_row[t])),
-                    int(comp_path[t]) + 1,
-                    repr(float(comp_losses[t])),
-                    repr(float(cum_row[t] - comp_cum[t])),
-                    repr(float(eta_row[t])),
-                    repr(float(record.eps[t])),
-                    repr(float(psi_row[t])),
-                )
-                for t in range(horizon)
-            )
+    """One row per run and round, in run order.
+
+    The runs are split into contiguous chunks, one per usable CPU. This
+    process writes the first chunk into `path`; a forked worker writes each
+    other chunk into its own part file, which is then appended in order and
+    deleted. The bytes do not depend on the number of chunks. Without
+    ``os.fork``, or with other threads alive, every chunk is written here.
+    """
+    runs = record.arms.shape[0]
+    n_chunks = min(runs, _usable_cpus()) or 1
+    cuts = [runs * i // n_chunks for i in range(n_chunks + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    args = (record, comp_path, comp_losses)
+    forking = n_chunks > 1 and hasattr(os, "fork") and threading.active_count() == 1
+    pids, parts = [], []
+    try:
+        if forking:
+            for i in range(1, n_chunks):
+                parts.append(_part_path(path, i))
+                pids.append(_fork_writer(parts[-1], *args, chunks[i]))
+        with open(path, "wb") as fh:
+            fh.write(RUNS_HEADER.encode() + b"\n")
+            for chunk in chunks[:1] if forking else chunks:
+                _write_run_rows(fh, *args, chunk)
+            while pids:
+                _, status = os.waitpid(pids.pop(0), 0)
+                part = parts[0]
+                if status != 0:
+                    code = os.waitstatus_to_exitcode(status)
+                    raise OSError(f"{path}: worker writing {part} exited with status {code}")
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh)
+                os.remove(parts.pop(0))
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in parts:
+            with contextlib.suppress(OSError):
+                os.remove(part)
 
 
 def write_summary_csv(path, report: RegretReport) -> None:
+    horizon = report.mean_regret.shape[0]
     with open(path, "w", newline="") as fh:
         fh.write(SUMMARY_HEADER + "\n")
-        writer = csv.writer(fh)
-        writer.writerow([0, repr(0.0), repr(0.0), repr(0.0)])
-        for t in range(report.mean_regret.shape[0]):
-            writer.writerow(
-                [
-                    t + 1,
-                    repr(float(report.mean_regret[t])),
-                    repr(float(report.stderr_regret[t])),
-                    repr(float(report.bound_curve[t])),
-                ]
-            )
+        fh.write("0,0.0,0.0,0.0\r\n")
+        for lo in range(0, horizon, _BLOCK_ROUNDS):
+            hi = min(lo + _BLOCK_ROUNDS, horizon)
+            block = zip(range(lo + 1, hi + 1), report.mean_regret[lo:hi].tolist(),
+                        report.stderr_regret[lo:hi].tolist(), report.bound_curve[lo:hi].tolist())
+            fh.writelines(f"{t},{m!r},{s!r},{b!r}\r\n" for t, m, s, b in block)

@@ -240,42 +240,65 @@ def best_switching_sequence(stream: LossStream, max_switches: int) -> tuple[np.n
     """Minimum-loss arm sequence using at most `max_switches` changes.
 
     Suffix dynamic program over (round, arm, switches left), O(T*M*k), then
-    a forward greedy walk that yields the lexicographically smallest
-    minimizing path.
+    a forward walk that takes, round by round, the smallest arm whose suffix
+    attains the optimum: the lexicographically smallest minimizing path
+    when the sums are exact. Only two suffix columns of shape (M, k+1) are
+    kept. For every round t >= 1 and budget j >= 1 the pass stores what the
+    walk needs: ``target`` the smallest arm attaining ``best``, the minimum
+    of column j-1 (the best switch), and per arm m, with ``stay`` its own
+    value in column j, ``below = stay < best`` and ``atmost = stay <= best``.
 
     A suffix never costs more with more switches left, and this holds
     exactly in floating point: the minimum is monotone, and adding the same
     loss to both sides is monotone under round-to-nearest. So switching
     "to" the current arm never beats staying on it, and the best switch
-    from any arm is the plain minimum of the column one budget down; no
-    second-smallest entry is needed to exclude the current arm.
+    from any arm is the plain minimum of column j-1; no second-smallest
+    entry is needed to exclude the current arm. The walk takes the argmin
+    over column j-1 with the current arm m at its stay value, ties going to
+    the smaller index, and the stored bits decide it without the values:
+
+    * ``stay < best``: m alone attains the minimum, so it stays.
+    * ``stay == best``: the arms attaining it are m and those of column
+      j-1 equal to ``best``; the smallest is m exactly when
+      ``m <= target``, else ``target``.
+    * ``stay > best``: m's own value in column j-1 is at least ``stay``,
+      so ``target`` is another arm, and the smallest one attaining it.
     """
     if max_switches < 0:
         raise ValueError("switch budget must be >= 0")
     matrix = stream.matrix
     horizon, n_arms = matrix.shape
     k = min(max_switches, horizon - 1)
-    # suffix[t, m, j]: best loss of rounds t.. given arm m at t and j switches left
-    suffix = np.zeros((horizon + 1, n_arms, k + 1))
+    # nxt[m, j] / cur[m, j]: best loss of rounds t+1.. / t.. given arm m then, j switches left
+    nxt = np.zeros((n_arms, k + 1))
+    cur = np.empty_like(nxt)
+    target = np.empty((horizon, k), dtype=np.int16 if n_arms <= 1 << 15 else np.intp)
+    below = np.empty((horizon, n_arms, k), dtype=bool)
+    atmost = np.empty_like(below)
+    budgets = np.arange(k)
     for t in range(horizon - 1, -1, -1):
-        nxt, cur = suffix[t + 1], suffix[t]
+        switch_to = nxt[:, :-1].argmin(axis=0)
+        best = nxt[switch_to, budgets]
+        if t + 1 < horizon:
+            target[t + 1] = switch_to
+            np.less(nxt[:, 1:], best, out=below[t + 1])
+            np.less_equal(nxt[:, 1:], best, out=atmost[t + 1])
         cur[:, 0] = nxt[:, 0]
-        np.minimum(nxt[:, 1:], nxt[:, :-1].min(axis=0), out=cur[:, 1:])
+        np.minimum(nxt[:, 1:], best, out=cur[:, 1:])
         cur += matrix[t][:, None]
+        nxt, cur = cur, nxt
     path = np.empty(horizon, dtype=np.intp)
     j = k
-    path[0] = int(np.argmin(suffix[0, :, k]))
-    for t in range(horizon - 1):
-        m = path[t]
+    path[0] = int(np.argmin(nxt[:, k]))
+    for t in range(1, horizon):
+        m = path[t - 1]
         if j == 0:
-            path[t + 1:] = m
+            path[t:] = m
             break
-        # switch candidates, with the current arm at its stay value; argmin
-        # takes the smallest arm attaining the optimum, and staying costs no switch
-        candidates = suffix[t + 1, :, j - 1].copy()
-        candidates[m] = suffix[t + 1, m, j]
-        path[t + 1] = np.argmin(candidates)
-        if path[t + 1] != m:
+        if below[t, m, j - 1] or (atmost[t, m, j - 1] and m <= target[t, j - 1]):
+            path[t] = m
+        else:
+            path[t] = target[t, j - 1]
             j -= 1
     return path, path_loss(stream, path)
 

@@ -146,6 +146,33 @@ class TestCsv:
         with pytest.raises(ValueError, match="duplicate"):
             load_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_loss_names_its_line(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"t,arm,loss\n0,1,0.5\n0,2,{value}\n1,1,0.5\n1,2,0.5\n")
+        message = f"nonfinite.csv:3: loss must be finite, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            load_csv(path)
+
+    def test_first_fault_in_file_order(self, tmp_path):
+        # the duplicate on line 4 comes before the negative round on line 5
+        path = tmp_path / "two_faults.csv"
+        path.write_text("t,arm,loss\n0,1,0.5\n0,2,0.5\n0,1,0.25\n-1,2,0.1\n")
+        message = "two_faults.csv:4: duplicate entry for round 0, arm 1"
+        with pytest.raises(ValueError, match=message):
+            load_csv(path)
+
+    def test_first_duplicate_named(self, tmp_path):
+        path = tmp_path / "dups.csv"
+        path.write_text("t,arm,loss\n0,2,0.5\n1,1,0.1\n1,2,0.2\n0,1,0.3\n1,1,0.4\n0,2,0.6\n")
+        with pytest.raises(ValueError, match="dups.csv:6: duplicate entry for round 1, arm 1"):
+            load_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("t,arm,loss\n0,1,0.5\n\n1,2,0.75\n0,2,0.25\n1,1,1.0\n\n")
+        assert np.array_equal(load_csv(path).matrix, [[0.5, 0.25], [1.0, 0.75]])
+
     def test_negative_round_rejected(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("t,arm,loss\n-1,1,0.5\n")

@@ -1,11 +1,12 @@
 import csv
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
 
-from scalefree_bandit import cli, core
+from scalefree_bandit import cli, core, harness
 from scalefree_bandit.competitions import fixed_arm_model, fixed_share_model
 from scalefree_bandit.core import NumericalDegeneracyError
 from scalefree_bandit.environments import scripted, write_csv
@@ -13,6 +14,7 @@ from scalefree_bandit.harness import (
     RUNS_HEADER,
     SUMMARY_HEADER,
     ConfigError,
+    SimulationRecord,
     ExperimentConfig,
     apply_overrides,
     build_stream,
@@ -20,6 +22,7 @@ from scalefree_bandit.harness import (
     run_experiment,
     simulate_runs,
     simulate_runs_sequential,
+    write_runs_csv,
 )
 from scalefree_bandit.verify import check_conservation, check_dense_vs_core, two_segment_stream
 
@@ -304,6 +307,161 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert math.isinf(report.path_complexity) and math.isinf(report.bound)
         assert report.bound_satisfied
+
+
+def reference_write_runs_csv(path, record: SimulationRecord, comp_path, comp_losses) -> None:
+    """The runs CSV as ``csv.writer`` writes it, one row at a time."""
+    runs, horizon = record.arms.shape
+    cum_losses = np.cumsum(record.losses, axis=1)
+    comp_cum = np.cumsum(comp_losses)
+    with open(path, "w", newline="") as fh:
+        fh.write(RUNS_HEADER + "\n")
+        writer = csv.writer(fh)
+        for r in range(runs):
+            arm_row = record.arms[r]
+            loss_row = record.losses[r]
+            cum_row = cum_losses[r]
+            eta_row = record.eta[r]
+            psi_row = record.psi[r]
+            writer.writerows(
+                (
+                    r,
+                    t,
+                    int(arm_row[t]) + 1,
+                    repr(float(loss_row[t])),
+                    repr(float(cum_row[t])),
+                    int(comp_path[t]) + 1,
+                    repr(float(comp_losses[t])),
+                    repr(float(cum_row[t] - comp_cum[t])),
+                    repr(float(eta_row[t])),
+                    repr(float(record.eps[t])),
+                    repr(float(psi_row[t])),
+                )
+                for t in range(horizon)
+            )
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the writer workers forked during the test."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+class TestCsvWriters:
+    """The CSV files have the bytes of the ``csv.writer`` version, for any split into chunks."""
+
+    def assert_same_bytes(self, tmp_path, monkeypatch, record, comp_path, comp_losses, cpus=3):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        write_runs_csv(tmp_path / "fast.csv", record, comp_path, comp_losses)
+        reference_write_runs_csv(tmp_path / "ref.csv", record, comp_path, comp_losses)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert not list(tmp_path.glob("*.part"))
+
+    def sweep(self, stream, runs, comp_arm=0):
+        model = fixed_share_model(stream.n_arms, 0.01)
+        record = simulate_runs(model, 1.5, stream, base_seed=3, runs=runs)
+        comp_path = np.full(stream.horizon, comp_arm, dtype=np.intp)
+        return record, comp_path, stream.matrix[:, comp_arm]
+
+    @pytest.mark.parametrize("runs,cpus", [(5, 2), (7, 3), (2, 8)])
+    def test_uneven_chunks(self, tmp_path, monkeypatch, forks, runs, cpus):
+        stream = two_segment_stream(horizon=300)
+        self.assert_same_bytes(tmp_path, monkeypatch, *self.sweep(stream, runs), cpus=cpus)
+        assert len(forks) == min(runs, cpus) - 1
+
+    def test_single_run_uses_no_worker(self, tmp_path, monkeypatch, forks):
+        stream = two_segment_stream(horizon=300)
+        self.assert_same_bytes(tmp_path, monkeypatch, *self.sweep(stream, 1), cpus=4)
+        assert forks == []
+
+    @pytest.mark.parametrize("horizon", [1, harness._BLOCK_ROUNDS + 7])
+    def test_partial_and_single_round_blocks(self, tmp_path, monkeypatch, horizon):
+        stream = two_segment_stream(horizon=horizon) if horizon > 1 else scripted([[0.5, 0.25]])
+        self.assert_same_bytes(tmp_path, monkeypatch, *self.sweep(stream, 3, comp_arm=1))
+
+    def test_degenerate_prefix_and_odd_losses(self, tmp_path, monkeypatch):
+        # zero rows keep the rate undefined (eta = inf); then negative,
+        # subnormal and negative-zero losses
+        matrix = np.zeros((40, 3))
+        matrix[10:] = np.random.default_rng(4).normal(size=(30, 3))
+        matrix[12] = [5e-324, -0.0, -5e-324]
+        matrix[20, :] = -0.0
+        record, comp_path, comp_losses = self.sweep(scripted(matrix), 5, comp_arm=2)
+        assert np.isinf(record.eta[:, 0]).all()
+        self.assert_same_bytes(tmp_path, monkeypatch, record, comp_path, comp_losses)
+
+    def test_largest_int16_arm(self, tmp_path, monkeypatch):
+        # M = 32768 stores arms as int16, so arm index 32767 is written as 32768
+        arms = np.array([[32767, 0], [5, 32767]], dtype=np.int16)
+        values = np.array([[0.5, 1.5], [2.5, -1.0]])
+        record = SimulationRecord(arms, values, values + 1, values - 1, np.array([0.5, 0.25]),
+                                  np.zeros((2, 2)))
+        comp_path = np.array([32767, 1], dtype=np.intp)
+        self.assert_same_bytes(tmp_path, monkeypatch, record, comp_path, np.array([0.5, 0.125]))
+        assert b"\n0,0,32768,0.5," in (tmp_path / "fast.csv").read_bytes()
+
+    def test_affine_experiment(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(
+            M=4, T=150, runs=5, seed=5, gamma="auto", model="switching:0.01",
+            env="piecewise", env_seed=2, noise_width=0.1, affine="1e-30,-7",
+            segments="75@0.2|0.7|0.7|0.7;75@0.7|0.2|0.7|0.7", competition="switching:1",
+        )
+        report = run_experiment(cfg)
+        comp_losses = build_stream(cfg).matrix[np.arange(cfg.T), report.comp_path]
+        self.assert_same_bytes(tmp_path, monkeypatch, report.record, report.comp_path, comp_losses)
+
+    def test_failed_worker_raises_and_is_reaped(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        path = tmp_path / "out.csv"
+        os.mkdir(harness._part_path(path, 2))  # the last worker cannot open its part file
+        record, comp_path, comp_losses = self.sweep(two_segment_stream(horizon=50), 3)
+        with pytest.raises(OSError):
+            write_runs_csv(path, record, comp_path, comp_losses)
+        assert len(forks) == 2
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert not os.path.exists(harness._part_path(path, 1))
+
+    def test_own_write_failure_reaps_workers(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        path = tmp_path / "out.csv"
+        path.mkdir()  # this process cannot open the output file
+        with pytest.raises(OSError):
+            write_runs_csv(path, *self.sweep(two_segment_stream(horizon=50), 3))
+        assert len(forks) == 2
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert not list(tmp_path.glob("*.part"))
+
+    def test_summary_matches_csv_writer(self, tmp_path):
+        cfg = ExperimentConfig(
+            M=3, T=harness._BLOCK_ROUNDS + 3, runs=4, seed=2, gamma="auto",
+            model="switching:0.01", env="piecewise", env_seed=3, noise_width=0.3,
+            segments=f"100@0.1|0.6|0.6;{harness._BLOCK_ROUNDS - 97}@0.6|0.1|0.6",
+            competition="switching:1", output=str(tmp_path / "s"),
+        )
+        report = run_experiment(cfg)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            fh.write(SUMMARY_HEADER + "\n")
+            writer = csv.writer(fh)
+            writer.writerow([0, repr(0.0), repr(0.0), repr(0.0)])
+            for t in range(cfg.T):
+                writer.writerow([t + 1, repr(float(report.mean_regret[t])),
+                                 repr(float(report.stderr_regret[t])),
+                                 repr(float(report.bound_curve[t]))])
+        assert (tmp_path / "s_summary.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestNegativeControls:

@@ -1,4 +1,6 @@
 import importlib.util
+import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -140,13 +142,36 @@ class TestBestSwitchingSequence:
     ], ids=["continuous", "ties"])
     def test_matches_enumeration(self, draw):
         rng = make_generator(5)
-        for _ in range(10):
+        for _ in range(40):
             stream = scripted(draw(rng))
-            k = int(rng.integers(0, 3))
+            k = int(rng.integers(0, 4))
             dp_path, dp_loss = best_switching_sequence(stream, k)
             bf_path, bf_loss = enumerate_best_sequence(stream, k)
             assert np.array_equal(dp_path, bf_path)
             assert dp_loss == bf_loss
+
+    def test_near_ties_attain_enumerated_optimum(self):
+        # Losses rounded to 0.1 make sums that tie up to rounding, so which
+        # tied path wins depends on the summation order, and the DP sums
+        # from the last round back. Enumerated in that order, the optimum
+        # is attained exactly, within the switch budget.
+        rng = make_generator(5)
+        for _ in range(40):
+            matrix = np.round(rng.random((6, 3)), 1)
+            k = int(rng.integers(0, 4))
+
+            def suffix_sum(path):
+                total = 0.0
+                for t in range(len(path) - 1, -1, -1):
+                    total += matrix[t, path[t]]
+                return total
+
+            optimum = min(suffix_sum(path) for path in itertools.product(range(3), repeat=6)
+                          if switch_count(np.array(path)) <= k)
+            path, loss = best_switching_sequence(scripted(matrix), k)
+            assert switch_count(path) <= k
+            assert suffix_sum(path) == optimum
+            assert loss == path_loss(scripted(matrix), path)
 
     def test_lexicographic_tie_break(self):
         stream = scripted(np.zeros((4, 3)))
@@ -182,6 +207,17 @@ class TestBestSwitchingSequence:
             path, loss = best_switching_sequence(scripted(matrix), k)
             assert switch_count(path) <= k
             assert loss == pytest.approx(prefix.min(), rel=1e-12)
+
+    def test_peak_memory_without_float_table(self):
+        # the walk keeps per-round bits, not a (T+1, M, k+1) float table (13.7 MB here)
+        stream = scripted(make_generator(9).random((10_000, 8)))
+        tracemalloc.start()
+        try:
+            best_switching_sequence(stream, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_beats_random_paths(self):
         rng = make_generator(7)
