@@ -84,8 +84,8 @@ def main(argv=None) -> int:
         # out-of-range numerics raise NumericalDegeneracyError; skip numpy's warnings
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

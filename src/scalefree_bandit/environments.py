@@ -19,6 +19,8 @@ import numpy as np
 
 from .rng import make_generator
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 class LossStream:
     """Immutable loss matrix with optional affine-view bookkeeping."""
@@ -88,16 +90,16 @@ def piecewise_stationary(
         raise ValueError("segment lengths must be >= 1")
     if sum(lengths) != horizon:
         raise ValueError(f"segment lengths {lengths} sum to {sum(lengths)}, expected horizon {horizon}")
-    rows = []
-    for length, means in segments:
+    stacked = []
+    for _, means in segments:
         means = np.asarray(means, dtype=np.float64)
         if means.shape != (n_arms,):
             raise ValueError(f"segment mean vector has shape {means.shape}, expected ({n_arms},)")
-        rows.append(np.tile(means, (length, 1)))
-    matrix = np.vstack(rows)
+        stacked.append(means)
+    matrix = np.repeat(np.stack(stacked), lengths, axis=0)
     if noise_width > 0:
         rng = make_generator(seed)
-        matrix = matrix + rng.uniform(-noise_width / 2, noise_width / 2, size=(horizon, n_arms))
+        matrix += rng.uniform(-noise_width / 2, noise_width / 2, size=(horizon, n_arms))
     return LossStream(matrix)
 
 
@@ -128,6 +130,24 @@ def _first_duplicate(rounds: array, arms: array) -> int | None:
     t, m = t[order], m[order]
     repeats = order[1:][(t[1:] == t[:-1]) & (m[1:] == m[:-1])]
     return int(repeats.min()) if repeats.size else None
+
+
+def _first_missing(t: np.ndarray, m: np.ndarray, shape: tuple[int, int]) -> tuple[int, int] | None:
+    """First (round, arm) of the `shape` grid, in row-major order, that no row holds.
+
+    The rows hold no duplicates, so they cover the grid exactly when their
+    count is its size; otherwise the first sorted key that differs from the
+    grid cell of the same rank marks the gap. Nothing of the grid's size is
+    allocated.
+    """
+    n_rounds, n_arms = shape
+    if t.size == n_rounds * n_arms:
+        return None
+    order = np.lexsort((m, t))
+    cell = np.arange(t.size)
+    differs = (t[order] != cell // n_arms) | (m[order] != cell % n_arms)
+    k = int(np.argmax(differs)) if differs.any() else t.size
+    return k // n_arms, k % n_arms
 
 
 def load_csv(path) -> LossStream:
@@ -163,6 +183,10 @@ def load_csv(path) -> LossStream:
                 raise first_fault(line_no, f"negative round {t}")
             if arm < 1:
                 raise first_fault(line_no, f"arms are 1-based, got {arm}")
+            if t > _INT64_MAX:
+                raise first_fault(line_no, f"round {t} does not fit in int64")
+            if arm > _INT64_MAX:
+                raise first_fault(line_no, f"arm {arm} does not fit in int64")
             if not math.isfinite(loss):
                 raise first_fault(line_no, f"loss must be finite, got {loss}")
             rounds.append(t)
@@ -176,11 +200,12 @@ def load_csv(path) -> LossStream:
         raise error
     t = np.frombuffer(rounds, dtype=np.int64)
     m = np.frombuffer(arms, dtype=np.int64)
-    matrix = np.full((int(t.max()) + 1, int(m.max()) + 1), np.nan)
+    shape = (int(t.max()) + 1, int(m.max()) + 1)
+    missing = _first_missing(t, m, shape)
+    if missing is not None:
+        raise ValueError(f"{path}: missing loss for round {missing[0]}, arm {missing[1] + 1}")
+    matrix = np.empty(shape)
     matrix[t, m] = np.frombuffer(losses)
-    if np.isnan(matrix).any():
-        t, m = np.argwhere(np.isnan(matrix))[0]
-        raise ValueError(f"{path}: missing loss for round {t}, arm {m + 1}")
     return LossStream(matrix)
 
 

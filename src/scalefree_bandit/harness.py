@@ -52,7 +52,7 @@ from .rng import run_generator
 
 RUNS_HEADER = "run,t,arm,loss,cum_loss,comp_arm,comp_loss,regret,eta,epsilon,psi"
 SUMMARY_HEADER = "t,mean_regret,stderr_regret,bound"
-_BLOCK_ROUNDS = 256  # rounds of one run formatted at a time; bounds the writers' memory
+_BLOCK_ROUNDS = 256  # rounds drawn, or formatted, per run at a time; bounds engine and writers
 
 
 class ConfigError(ValueError):
@@ -230,14 +230,28 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
     :class:`~scalefree_bandit.core.ScaleFreeBandit` does: the same arms and
     running minima, probabilities and rates equal up to how numpy rounds
     batched and one-row transcendentals (a few ulp at most).
+
+    Beside the record and the ``(runs, M)`` state, the engine holds one
+    block of uniforms, at most ``_BLOCK_ROUNDS`` rounds by ``runs``: each
+    run's generator refills its column every block, and successive Philox
+    draws continue one stream, so the doubles are those of a single
+    ``random(T)`` call.
     """
     n_arms = model.n_arms
     matrix = stream.matrix
     horizon = stream.horizon
-    uniforms = np.empty((runs, horizon))
-    for r in range(runs):
-        uniforms[r] = run_generator(base_seed, r).random(horizon)
+    # the record first: a size that cannot fit fails before any work
+    arms = np.empty((runs, horizon), dtype=_arm_dtype(n_arms))
+    losses = np.empty((runs, horizon))
+    eta = np.empty((runs, horizon))
+    psi = np.empty((runs, horizon))
+    eps_hist = np.empty(horizon)
 
+    block = min(_BLOCK_ROUNDS, horizon)
+    uniforms = np.empty((block, runs))  # round-major: each round reads one row
+    generators = (run_generator(base_seed, r) for r in range(runs))
+    if horizon > block:
+        generators = list(generators)  # kept for the refills; a single block needs none
     log_w = np.tile(model.log_prior, (runs, 1))
     p = arm_probabilities(log_w)
     stats = (
@@ -248,17 +262,16 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
     )
     rows = np.arange(runs)
 
-    arms = np.empty((runs, horizon), dtype=_arm_dtype(n_arms))
-    losses = np.empty((runs, horizon))
-    eta = np.empty((runs, horizon))
-    psi = np.empty((runs, horizon))
-    eps_hist = np.empty(horizon)
-
     for t in range(horizon):
+        offset = t % block
+        if offset == 0:
+            n = min(block, horizon - t)
+            for r, gen in enumerate(generators):
+                uniforms[:n, r] = gen.random(n)
         eps = mixture_coefficient(t + 1, n_arms)
         q = selection_probabilities(p, eps)
         cdf = np.cumsum(q, axis=1)
-        u = uniforms[:, t]
+        u = uniforms[offset]
         arm = np.argmax(u[:, None] < cdf, axis=1)
         overflow = u >= cdf[:, -1]
         if overflow.any():
@@ -274,35 +287,6 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
         eps_hist[t] = eps
 
     return SimulationRecord(arms, losses, eta, psi, eps_hist, p)
-
-
-def simulate_runs_sequential(model: CompetitionModel, gamma: float, stream: LossStream,
-                             base_seed: int, runs: int) -> SimulationRecord:
-    """Reference path: one ScaleFreeBandit per run, played to the horizon."""
-    from .core import ScaleFreeBandit
-
-    horizon, n_arms = stream.horizon, stream.n_arms
-    arms = np.empty((runs, horizon), dtype=_arm_dtype(n_arms))
-    losses = np.empty((runs, horizon))
-    eta = np.empty((runs, horizon))
-    psi = np.empty((runs, horizon))
-    eps_hist = np.empty(horizon)
-    final_probs = np.empty((runs, n_arms))
-    for r in range(runs):
-        state = ScaleFreeBandit(model, gamma, rng=run_generator(base_seed, r))
-        for t in range(horizon):
-            arm, _ = state.select()
-            loss = stream.loss(t, arm)
-            state.update(loss)
-            arms[r, t] = arm
-            losses[r, t] = loss
-            rate = state.stats.rate_prev
-            eta[r, t] = np.inf if rate is None else rate
-            psi[r, t] = state.stats.min_loss
-            if r == 0:
-                eps_hist[t] = mixture_coefficient(t + 1, n_arms)
-        final_probs[r] = state.probabilities
-    return SimulationRecord(arms, losses, eta, psi, eps_hist, final_probs)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +330,38 @@ class RegretReport:
         return self.mean_final + 2.0 * self.stderr_final <= self.bound
 
 
+def _regret_rows(losses: np.ndarray, comp_cum: np.ndarray, runs):
+    """Yield ``(r, cumulative losses, regret)`` of each run in `runs`, one ``(T,)`` row each."""
+    for r in runs:
+        cum = np.cumsum(losses[r])
+        yield r, cum, cum - comp_cum
+
+
+def _regret_statistics(losses: np.ndarray, comp_cum: np.ndarray):
+    """Mean and standard error over runs of the regret curve, and each final regret.
+
+    Two passes add one run's row at a time into a zeroed ``(T,)`` accumulator,
+    as numpy's axis-0 ``mean`` and ``std(ddof=1)`` do, so the results equal
+    theirs bit for bit (a sum of ``-0.0`` rows included) without holding a
+    ``(runs, T)`` regret matrix.
+    """
+    runs, horizon = losses.shape
+    final_regrets = np.empty(runs)
+    total = np.zeros(horizon)
+    for r, _, regret in _regret_rows(losses, comp_cum, range(runs)):
+        final_regrets[r] = regret[-1]
+        total += regret
+    mean = total / runs
+    if runs == 1:
+        return mean, np.zeros(horizon), final_regrets
+    squares = np.zeros(horizon)
+    for _, _, regret in _regret_rows(losses, comp_cum, range(runs)):
+        regret -= mean
+        squares += regret * regret
+    stderr = np.sqrt(squares / (runs - 1)) / math.sqrt(runs)
+    return mean, stderr, final_regrets
+
+
 def run_experiment(cfg: ExperimentConfig, engine=simulate_runs) -> RegretReport:
     validate_config(cfg)
     try:
@@ -363,14 +379,8 @@ def run_experiment(cfg: ExperimentConfig, engine=simulate_runs) -> RegretReport:
 
     record = engine(model, gamma, stream, cfg.seed, cfg.runs)
 
-    cum_losses = np.cumsum(record.losses, axis=1)
     comp_cum = np.cumsum(comp_losses)
-    regret = cum_losses - comp_cum
-    mean_regret = regret.mean(axis=0)
-    if cfg.runs > 1:
-        stderr = regret.std(axis=0, ddof=1) / math.sqrt(cfg.runs)
-    else:
-        stderr = np.zeros(stream.horizon)
+    mean_regret, stderr, final_regrets = _regret_statistics(record.losses, comp_cum)
     width = stream.range_width()
     rounds = np.arange(1, stream.horizon + 1, dtype=np.float64)
     bound_curve = width * np.sqrt(cfg.M * rounds) * (5.0 + 4.0 * math.sqrt(path_w))
@@ -384,7 +394,7 @@ def run_experiment(cfg: ExperimentConfig, engine=simulate_runs) -> RegretReport:
         mean_regret=mean_regret,
         stderr_regret=stderr,
         bound_curve=bound_curve,
-        final_regrets=regret[:, -1].copy(),
+        final_regrets=final_regrets,
         record=record,
     )
     if cfg.output is not None:
@@ -412,10 +422,7 @@ def _write_run_rows(fh, record: SimulationRecord, comp_path: np.ndarray,
     as ``repr``, each row ended by ``\\r\\n``.
     """
     horizon = record.arms.shape[1]
-    comp_cum = np.cumsum(comp_losses)
-    for r in runs:
-        cum = np.cumsum(record.losses[r])
-        regret = cum - comp_cum
+    for r, cum, regret in _regret_rows(record.losses, np.cumsum(comp_losses), runs):
         for lo in range(0, horizon, _BLOCK_ROUNDS):
             hi = min(lo + _BLOCK_ROUNDS, horizon)
             block = zip(

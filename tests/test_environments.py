@@ -140,6 +140,28 @@ class TestCsv:
         with pytest.raises(ValueError, match="missing"):
             load_csv(path)
 
+    def test_far_round_reported_missing_without_allocating(self, tmp_path):
+        # a (10^12 + 1) x 2 matrix would need 14.6 TiB
+        path = tmp_path / "far.csv"
+        path.write_text("t,arm,loss\n0,1,0.5\n1000000000000,2,0.25\n")
+        with pytest.raises(ValueError, match="far.csv: missing loss for round 0, arm 2$"):
+            load_csv(path)
+
+    def test_first_missing_in_row_major_order(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("t,arm,loss\n2,1,0.5\n0,2,0.5\n0,1,0.5\n1,1,0.5\n2,2,0.5\n")
+        with pytest.raises(ValueError, match="gaps.csv: missing loss for round 1, arm 2$"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("row,name", [("9223372036854775808,1,0.5", "round"),
+                                          ("0,9223372036854775808,0.5", "arm")])
+    def test_index_past_int64_names_its_line(self, tmp_path, row, name):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"t,arm,loss\n0,1,0.5\n{row}\n")
+        message = f"huge.csv:3: {name} 9223372036854775808 does not fit in int64$"
+        with pytest.raises(ValueError, match=message):
+            load_csv(path)
+
     def test_duplicate_entry_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("t,arm,loss\n0,1,0.5\n0,1,0.25\n0,2,0.1\n")

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from scalefree_bandit.harness import (
     parse_config,
     run_experiment,
     simulate_runs,
-    simulate_runs_sequential,
     write_runs_csv,
 )
+from scalefree_bandit.rng import run_generator
 from scalefree_bandit.verify import check_conservation, check_dense_vs_core, two_segment_stream
 
 CONFIG_TEXT = """\
@@ -140,6 +141,32 @@ class TestConfig:
             run_experiment(ExperimentConfig(**base, competition="switching:-1"))
 
 
+def simulate_runs_sequential(model, gamma, stream, base_seed, runs) -> SimulationRecord:
+    """Reference path for the engine: one ScaleFreeBandit per run, played to the horizon."""
+    horizon, n_arms = stream.horizon, stream.n_arms
+    arms = np.empty((runs, horizon), dtype=harness._arm_dtype(n_arms))
+    losses = np.empty((runs, horizon))
+    eta = np.empty((runs, horizon))
+    psi = np.empty((runs, horizon))
+    eps_hist = np.empty(horizon)
+    final_probs = np.empty((runs, n_arms))
+    for r in range(runs):
+        state = core.ScaleFreeBandit(model, gamma, rng=run_generator(base_seed, r))
+        for t in range(horizon):
+            arm, _ = state.select()
+            loss = stream.loss(t, arm)
+            state.update(loss)
+            arms[r, t] = arm
+            losses[r, t] = loss
+            rate = state.stats.rate_prev
+            eta[r, t] = np.inf if rate is None else rate
+            psi[r, t] = state.stats.min_loss
+            if r == 0:
+                eps_hist[t] = core.mixture_coefficient(t + 1, n_arms)
+        final_probs[r] = state.probabilities
+    return SimulationRecord(arms, losses, eta, psi, eps_hist, final_probs)
+
+
 def assert_engine_matches_sequential(model, stream):
     vec = simulate_runs(model, 1.5, stream, base_seed=7, runs=5)
     seq = simulate_runs_sequential(model, 1.5, stream, base_seed=7, runs=5)
@@ -153,8 +180,10 @@ def assert_engine_matches_sequential(model, stream):
 
 
 class TestEngineEquivalence:
-    def test_vectorized_matches_sequential_runs(self):
-        stream = two_segment_stream(horizon=300)
+    # the engine draws its uniforms 256 rounds at a time: cross the refills
+    @pytest.mark.parametrize("horizon", [2, 255, 256, 257, 513])
+    def test_vectorized_matches_sequential_runs(self, horizon):
+        stream = two_segment_stream(horizon=horizon)
         for model in (fixed_share_model(4, 1 / 300), fixed_arm_model(4)):
             assert_engine_matches_sequential(model, stream)
 
@@ -297,6 +326,65 @@ class TestRunExperiment:
         # value-level outputs scale with the map
         assert mapped.range_width == pytest.approx(2 * plain.range_width, rel=1e-12)
         assert mapped.mean_final == pytest.approx(2 * plain.mean_final, rel=1e-9)
+
+    @pytest.mark.parametrize("runs,horizon", [(1, 40), (7, 33), (2000, 500), (16, 10_000)])
+    def test_statistics_equal_numpy_on_regret_matrix(self, runs, horizon):
+        half = horizon // 2
+        cfg = ExperimentConfig(
+            M=4, T=horizon, runs=runs, seed=17, gamma="auto", model="switching:0.001",
+            env="piecewise", env_seed=3, noise_width=0.2,
+            segments=f"{half}@0.25|0.75|0.75|0.75;{horizon - half}@0.75|0.25|0.75|0.75",
+            competition="switching:1",
+        )
+        report = run_experiment(cfg)
+        matrix = build_stream(cfg).matrix
+        comp_losses = matrix[np.arange(horizon), report.comp_path]
+        regret = np.cumsum(report.record.losses, axis=1) - np.cumsum(comp_losses)
+        if runs > 1:
+            stderr = regret.std(axis=0, ddof=1) / math.sqrt(runs)
+        else:
+            stderr = np.zeros(horizon)
+        for got, want in ((report.mean_regret, regret.mean(axis=0)),
+                          (report.stderr_regret, stderr),
+                          (report.final_regrets, regret[:, -1].copy())):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def traced_peak_and_record_bytes(cfg):
+        tracemalloc.start()
+        try:
+            report = run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rec = report.record
+        arrays = (rec.arms, rec.losses, rec.eta, rec.psi, rec.eps, rec.final_probs)
+        return peak, sum(a.nbytes for a in arrays)
+
+    def test_peak_memory_without_run_temporaries(self):
+        # the engine and the aggregation may hold the record plus (runs, T)
+        # float64 at most: no full draw matrix beside it, no regret matrix
+        cfg = ExperimentConfig(
+            M=4, T=2000, runs=200, seed=5, gamma="auto", model="switching:0.001",
+            env="piecewise", env_seed=2, noise_width=0.2,
+            segments="1000@0.25|0.75|0.75|0.75;1000@0.75|0.25|0.75|0.75",
+            competition="switching:1",
+        )
+        peak, record_bytes = self.traced_peak_and_record_bytes(cfg)
+        assert peak < record_bytes + cfg.runs * cfg.T * 8
+
+    def test_peak_memory_of_many_short_runs(self):
+        # below one block of rounds the draw buffer is (T, runs) and no run
+        # keeps its generator (about 1 kB each); the kernel's own (runs, M)
+        # working set is allowed 32 arrays
+        cfg = ExperimentConfig(
+            M=2, T=2, runs=20_000, seed=5, gamma=1.0, model="switching:0.001",
+            env="piecewise", env_seed=2, noise_width=0.2, segments="1@0.25|0.75;1@0.75|0.25",
+            competition="switching:1",
+        )
+        peak, record_bytes = self.traced_peak_and_record_bytes(cfg)
+        assert peak < record_bytes + cfg.runs * cfg.T * 8 + 32 * cfg.runs * cfg.M * 8
 
     def test_unrealizable_competition_gives_infinite_bound(self, tmp_path):
         cfg = ExperimentConfig(
@@ -523,6 +611,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "bound=" not in captured.out
+
+    def test_memory_error_exit_code(self, capsys, config_file):
+        # 10^15 runs x 200 rounds of int16 arms (355 PiB) exceed even a
+        # 57-bit address space, whatever the overcommit policy
+        code = cli.main(["run", "--config", str(config_file),
+                         "--override", "runs=1000000000000000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "allocate" in captured.err
         assert "bound=" not in captured.out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
