@@ -84,7 +84,7 @@ def main(argv=None) -> int:
         # out-of-range numerics raise NumericalDegeneracyError; skip numpy's warnings
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ValueError, ArithmeticError, MemoryError) as exc:
+    except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

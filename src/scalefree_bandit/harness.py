@@ -204,16 +204,59 @@ def competition_path(cfg: ExperimentConfig, stream: LossStream) -> tuple[np.ndar
 # vectorized multi-run engine
 # ---------------------------------------------------------------------------
 
+def _running_minimum(losses: np.ndarray) -> np.ndarray:
+    """Running minimum of one run's losses, keeping the earlier of two equal values.
+
+    This is the learner's rule (``where(loss < min, loss, min)``). Equal
+    floats differ in their bits only as ``0.0`` and ``-0.0``, where
+    ``np.minimum.accumulate`` may return the later one, so wherever the
+    minimum is zero it is the run's first zero loss.
+    """
+    psi = np.minimum.accumulate(losses)
+    zero = psi == 0
+    if zero.any():
+        psi[zero] = losses[np.argmax(losses == 0)]
+    return psi
+
+
 @dataclass
 class SimulationRecord:
-    """Per-round, per-run trajectories of a Monte Carlo sweep."""
+    """Per-round, per-run trajectories of a Monte Carlo sweep.
+
+    Only the arms and the rates are stored per run and round (10 bytes with
+    int16 arms). The incurred losses and the running minimum follow from
+    the arms and the loss stream, and are computed on access, a run at a
+    time: one gather of the whole record would first cast the arms to a
+    ``(runs, T)`` index array.
+    """
 
     arms: np.ndarray       # (runs, T) selected arm per round
-    losses: np.ndarray     # (runs, T) incurred loss
     eta: np.ndarray        # (runs, T) realized rate, inf while degenerate
-    psi: np.ndarray        # (runs, T) running minimum after the round
     eps: np.ndarray        # (T,) exploration floor (shared across runs)
     final_probs: np.ndarray  # (runs, M) arm probabilities after round T
+    matrix: np.ndarray     # (T, M) the read-only loss stream that was played
+
+    def _loss_rows(self, runs):
+        """Yield ``(r, losses)`` of each run in `runs`: its arms gathered from the matrix."""
+        rounds = np.arange(self.matrix.shape[0])
+        for r in runs:
+            yield r, self.matrix[rounds, self.arms[r]]
+
+    @property
+    def losses(self) -> np.ndarray:
+        """(runs, T) incurred loss."""
+        out = np.empty(self.arms.shape)
+        for r, losses in self._loss_rows(range(len(out))):
+            out[r] = losses
+        return out
+
+    @property
+    def psi(self) -> np.ndarray:
+        """(runs, T) running minimum after the round."""
+        out = np.empty(self.arms.shape)
+        for r, losses in self._loss_rows(range(len(out))):
+            out[r] = _running_minimum(losses)
+        return out
 
 
 def _arm_dtype(n_arms: int):
@@ -235,16 +278,16 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
     block of uniforms, at most ``_BLOCK_ROUNDS`` rounds by ``runs``: each
     run's generator refills its column every block, and successive Philox
     draws continue one stream, so the doubles are those of a single
-    ``random(T)`` call.
+    ``random(T)`` call. The rate is written as computed, and the NaN of the
+    degenerate prefix becomes ``inf`` once per block, on that block's
+    columns.
     """
     n_arms = model.n_arms
     matrix = stream.matrix
     horizon = stream.horizon
     # the record first: a size that cannot fit fails before any work
     arms = np.empty((runs, horizon), dtype=_arm_dtype(n_arms))
-    losses = np.empty((runs, horizon))
     eta = np.empty((runs, horizon))
-    psi = np.empty((runs, horizon))
     eps_hist = np.empty(horizon)
 
     block = min(_BLOCK_ROUNDS, horizon)
@@ -276,17 +319,17 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
         overflow = u >= cdf[:, -1]
         if overflow.any():
             arm[overflow] = n_arms - 1
-        loss = matrix[t, arm]
-        log_w, p, stats, _ = round_step(model, log_w, p, q, (rows, arm), loss, stats, gamma)
-        rate = stats[3]
+        log_w, p, stats, _ = round_step(model, log_w, p, q, (rows, arm), matrix[t, arm],
+                                        stats, gamma)
 
         arms[:, t] = arm
-        losses[:, t] = loss
-        eta[:, t] = np.where(np.isnan(rate), np.inf, rate)
-        psi[:, t] = stats[0]
+        eta[:, t] = stats[3]
         eps_hist[t] = eps
+        if offset == block - 1 or t == horizon - 1:
+            slab = eta[:, t - offset:t + 1]
+            np.copyto(slab, np.inf, where=np.isnan(slab))  # the degenerate prefix
 
-    return SimulationRecord(arms, losses, eta, psi, eps_hist, p)
+    return SimulationRecord(arms, eta, eps_hist, p, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -330,32 +373,32 @@ class RegretReport:
         return self.mean_final + 2.0 * self.stderr_final <= self.bound
 
 
-def _regret_rows(losses: np.ndarray, comp_cum: np.ndarray, runs):
-    """Yield ``(r, cumulative losses, regret)`` of each run in `runs`, one ``(T,)`` row each."""
-    for r in runs:
-        cum = np.cumsum(losses[r])
-        yield r, cum, cum - comp_cum
+def _regret_rows(record: SimulationRecord, comp_cum: np.ndarray, runs):
+    """Yield ``(r, losses, cumulative losses, regret)`` of each run in `runs`, one ``(T,)`` row each."""
+    for r, losses in record._loss_rows(runs):
+        cum = np.cumsum(losses)
+        yield r, losses, cum, cum - comp_cum
 
 
-def _regret_statistics(losses: np.ndarray, comp_cum: np.ndarray):
+def _regret_statistics(record: SimulationRecord, comp_cum: np.ndarray):
     """Mean and standard error over runs of the regret curve, and each final regret.
 
     Two passes add one run's row at a time into a zeroed ``(T,)`` accumulator,
     as numpy's axis-0 ``mean`` and ``std(ddof=1)`` do, so the results equal
     theirs bit for bit (a sum of ``-0.0`` rows included) without holding a
-    ``(runs, T)`` regret matrix.
+    ``(runs, T)`` loss or regret matrix.
     """
-    runs, horizon = losses.shape
+    runs, horizon = record.arms.shape
     final_regrets = np.empty(runs)
     total = np.zeros(horizon)
-    for r, _, regret in _regret_rows(losses, comp_cum, range(runs)):
+    for r, _, _, regret in _regret_rows(record, comp_cum, range(runs)):
         final_regrets[r] = regret[-1]
         total += regret
     mean = total / runs
     if runs == 1:
         return mean, np.zeros(horizon), final_regrets
     squares = np.zeros(horizon)
-    for _, _, regret in _regret_rows(losses, comp_cum, range(runs)):
+    for _, _, _, regret in _regret_rows(record, comp_cum, range(runs)):
         regret -= mean
         squares += regret * regret
     stderr = np.sqrt(squares / (runs - 1)) / math.sqrt(runs)
@@ -380,7 +423,7 @@ def run_experiment(cfg: ExperimentConfig, engine=simulate_runs) -> RegretReport:
     record = engine(model, gamma, stream, cfg.seed, cfg.runs)
 
     comp_cum = np.cumsum(comp_losses)
-    mean_regret, stderr, final_regrets = _regret_statistics(record.losses, comp_cum)
+    mean_regret, stderr, final_regrets = _regret_statistics(record, comp_cum)
     width = stream.range_width()
     rounds = np.arange(1, stream.horizon + 1, dtype=np.float64)
     bound_curve = width * np.sqrt(cfg.M * rounds) * (5.0 + 4.0 * math.sqrt(path_w))
@@ -422,20 +465,21 @@ def _write_run_rows(fh, record: SimulationRecord, comp_path: np.ndarray,
     as ``repr``, each row ended by ``\\r\\n``.
     """
     horizon = record.arms.shape[1]
-    for r, cum, regret in _regret_rows(record.losses, np.cumsum(comp_losses), runs):
+    for r, losses, cum, regret in _regret_rows(record, np.cumsum(comp_losses), runs):
+        psi = _running_minimum(losses)
         for lo in range(0, horizon, _BLOCK_ROUNDS):
             hi = min(lo + _BLOCK_ROUNDS, horizon)
             block = zip(
                 range(lo, hi),
                 np.add(record.arms[r, lo:hi], 1, dtype=np.intp).tolist(),
-                record.losses[r, lo:hi].tolist(),
+                losses[lo:hi].tolist(),
                 cum[lo:hi].tolist(),
                 (comp_path[lo:hi] + 1).tolist(),
                 comp_losses[lo:hi].tolist(),
                 regret[lo:hi].tolist(),
                 record.eta[r, lo:hi].tolist(),
                 record.eps[lo:hi].tolist(),
-                record.psi[r, lo:hi].tolist(),
+                psi[lo:hi].tolist(),
             )
             fh.writelines(
                 f"{r},{t},{arm},{loss!r},{c!r},{cm},{cl!r},{g!r},{e!r},{ep!r},{ps!r}\r\n".encode()
@@ -469,7 +513,8 @@ def write_runs_csv(path, record: SimulationRecord, comp_path: np.ndarray,
     The runs are split into contiguous chunks, one per usable CPU. This
     process writes the first chunk into `path`; a forked worker writes each
     other chunk into its own part file, which is then appended in order and
-    deleted. The bytes do not depend on the number of chunks. Without
+    deleted. `path` is opened before any fork, and the header is written
+    after. The bytes do not depend on the number of chunks. Without
     ``os.fork``, or with other threads alive, every chunk is written here.
     """
     runs = record.arms.shape[0]
@@ -480,11 +525,11 @@ def write_runs_csv(path, record: SimulationRecord, comp_path: np.ndarray,
     forking = n_chunks > 1 and hasattr(os, "fork") and threading.active_count() == 1
     pids, parts = [], []
     try:
-        if forking:
-            for i in range(1, n_chunks):
-                parts.append(_part_path(path, i))
-                pids.append(_fork_writer(parts[-1], *args, chunks[i]))
-        with open(path, "wb") as fh:
+        with open(path, "wb") as fh:  # an unwritable path fails before any fork
+            if forking:
+                for i in range(1, n_chunks):
+                    parts.append(_part_path(path, i))
+                    pids.append(_fork_writer(parts[-1], *args, chunks[i]))
             fh.write(RUNS_HEADER.encode() + b"\n")
             for chunk in chunks[:1] if forking else chunks:
                 _write_run_rows(fh, *args, chunk)

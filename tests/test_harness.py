@@ -2,7 +2,9 @@ import csv
 import hashlib
 import math
 import os
+import shutil
 import tracemalloc
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -141,7 +143,19 @@ class TestConfig:
             run_experiment(ExperimentConfig(**base, competition="switching:-1"))
 
 
-def simulate_runs_sequential(model, gamma, stream, base_seed, runs) -> SimulationRecord:
+@dataclass
+class SequentialRecord:
+    """What one ScaleFreeBandit per run recorded itself, losses and running minimum included."""
+
+    arms: np.ndarray
+    losses: np.ndarray
+    eta: np.ndarray
+    psi: np.ndarray
+    eps: np.ndarray
+    final_probs: np.ndarray
+
+
+def simulate_runs_sequential(model, gamma, stream, base_seed, runs) -> SequentialRecord:
     """Reference path for the engine: one ScaleFreeBandit per run, played to the horizon."""
     horizon, n_arms = stream.horizon, stream.n_arms
     arms = np.empty((runs, horizon), dtype=harness._arm_dtype(n_arms))
@@ -164,7 +178,7 @@ def simulate_runs_sequential(model, gamma, stream, base_seed, runs) -> Simulatio
             if r == 0:
                 eps_hist[t] = core.mixture_coefficient(t + 1, n_arms)
         final_probs[r] = state.probabilities
-    return SimulationRecord(arms, losses, eta, psi, eps_hist, final_probs)
+    return SequentialRecord(arms, losses, eta, psi, eps_hist, final_probs)
 
 
 def assert_engine_matches_sequential(model, stream):
@@ -197,6 +211,24 @@ class TestEngineEquivalence:
         assert np.array_equal(vec.arms, seq.arms)
         assert np.array_equal(vec.psi, seq.psi)
         assert np.allclose(vec.final_probs, seq.final_probs, rtol=1e-10, atol=1e-12)
+
+    def test_derived_losses_and_psi_equal_learners_bits(self):
+        # the record derives losses and the running minimum from the arms;
+        # they must equal what each learner saw and kept, -0.0 against 0.0
+        # and subnormals included (np.minimum alone may keep the later zero)
+        rng = np.random.default_rng(8)
+        values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.5, -0.25])
+        matrix = rng.choice(values, size=(300, 3))
+        matrix[:40] = rng.choice([0.0, -0.0, 5e-324], size=(40, 3))
+        stream = scripted(matrix)
+        for model in (fixed_share_model(3, 0.05), fixed_arm_model(3)):
+            vec = simulate_runs(model, 1.5, stream, base_seed=4, runs=6)
+            seq = simulate_runs_sequential(model, 1.5, stream, base_seed=4, runs=6)
+            assert np.array_equal(vec.arms, seq.arms)
+            assert vec.losses.tobytes() == seq.losses.tobytes()
+            assert vec.psi.tobytes() == seq.psi.tobytes()
+            negative_zero = (seq.psi == 0) & np.signbit(seq.psi)
+            assert negative_zero.any() and (seq.psi == 0)[~negative_zero].any()
 
     def test_engine_matches_sequential_at_extreme_alpha(self):
         # alpha > (M-1)/M: leaving is likelier than staying
@@ -359,7 +391,7 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         rec = report.record
-        arrays = (rec.arms, rec.losses, rec.eta, rec.psi, rec.eps, rec.final_probs)
+        arrays = (rec.arms, rec.eta, rec.eps, rec.final_probs)  # stored, not derived
         return peak, sum(a.nbytes for a in arrays)
 
     def test_peak_memory_without_run_temporaries(self):
@@ -385,6 +417,24 @@ class TestRunExperiment:
         )
         peak, record_bytes = self.traced_peak_and_record_bytes(cfg)
         assert peak < record_bytes + cfg.runs * cfg.T * 8 + 32 * cfg.runs * cfg.M * 8
+
+    def test_record_stores_no_other_run_round_array(self):
+        # 10 bytes per run-round: the int16 arms and the float64 rates;
+        # losses and psi are computed from the arms and the stream's matrix
+        cfg = ExperimentConfig(
+            M=4, T=50, runs=3, seed=5, gamma=1.0, model="switching:0.01",
+            env="piecewise", env_seed=2, noise_width=0.2,
+            segments="25@0.25|0.75|0.75|0.75;25@0.75|0.25|0.75|0.75",
+        )
+        record = run_experiment(cfg).record
+        stored = {f.name: getattr(record, f.name) for f in fields(record)}
+        per_run_round = {name for name, value in stored.items()
+                         if isinstance(value, np.ndarray) and value.shape == (cfg.runs, cfg.T)}
+        assert per_run_round == {"arms", "eta"}
+        assert record.arms.itemsize + record.eta.itemsize == 10
+        assert np.array_equal(record.matrix, build_stream(cfg).matrix)
+        assert not record.matrix.flags.writeable
+        assert record.losses.shape == record.psi.shape == (cfg.runs, cfg.T)
 
     def test_unrealizable_competition_gives_infinite_bound(self, tmp_path):
         cfg = ExperimentConfig(
@@ -491,9 +541,12 @@ class TestCsvWriters:
     def test_largest_int16_arm(self, tmp_path, monkeypatch):
         # M = 32768 stores arms as int16, so arm index 32767 is written as 32768
         arms = np.array([[32767, 0], [5, 32767]], dtype=np.int16)
-        values = np.array([[0.5, 1.5], [2.5, -1.0]])
-        record = SimulationRecord(arms, values, values + 1, values - 1, np.array([0.5, 0.25]),
-                                  np.zeros((2, 2)))
+        matrix = np.zeros((2, 32768))
+        matrix[0, [5, 32767]] = [2.5, 0.5]
+        matrix[1, [0, 32767]] = [1.5, -1.0]
+        matrix.setflags(write=False)
+        record = SimulationRecord(arms, np.array([[1.5, 2.5], [3.5, 0.0]]),
+                                  np.array([0.5, 0.25]), np.zeros((2, 2)), matrix)
         comp_path = np.array([32767, 1], dtype=np.intp)
         self.assert_same_bytes(tmp_path, monkeypatch, record, comp_path, np.array([0.5, 0.125]))
         assert b"\n0,0,32768,0.5," in (tmp_path / "fast.csv").read_bytes()
@@ -524,13 +577,28 @@ class TestCsvWriters:
     def test_own_write_failure_reaps_workers(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
         path = tmp_path / "out.csv"
-        path.mkdir()  # this process cannot open the output file
-        with pytest.raises(OSError):
-            write_runs_csv(path, *self.sweep(two_segment_stream(horizon=50), 3))
+        args = self.sweep(two_segment_stream(horizon=50), 3)
+
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+
+        # this process fails appending the first part, with the second worker unreaped
+        monkeypatch.setattr(shutil, "copyfileobj", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            write_runs_csv(path, *args)
         assert len(forks) == 2
         for pid in forks:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
+        assert not list(tmp_path.glob("*.part"))
+
+    def test_unwritable_path_fails_before_fork(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        path = tmp_path / "out.csv"
+        path.mkdir()  # this process cannot open the output file
+        with pytest.raises(OSError):
+            write_runs_csv(path, *self.sweep(two_segment_stream(horizon=50), 3))
+        assert forks == []
         assert not list(tmp_path.glob("*.part"))
 
     def test_summary_matches_csv_writer(self, tmp_path):
@@ -631,3 +699,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "bogus" in err
+
+    @staticmethod
+    def assert_one_error_line(capfd, code, path):
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err
+        assert "bound=" not in captured.out
+
+    def test_missing_config_exit_code(self, tmp_path, capfd):
+        path = tmp_path / "absent.cfg"
+        self.assert_one_error_line(capfd, cli.main(["run", "--config", str(path)]), path)
+
+    def test_missing_csv_environment_exit_code(self, tmp_path, capfd, config_file):
+        path = tmp_path / "absent.csv"
+        code = cli.main(["run", "--config", str(config_file), "--override", "M=2",
+                         "--override", "T=4", "--override", f"env=csv:{path}"])
+        self.assert_one_error_line(capfd, code, path)
+
+    def test_missing_oracle_stream_exit_code(self, tmp_path, capfd):
+        path = tmp_path / "absent.csv"
+        code = cli.main(["oracle", "--stream", str(path), "--switches", "1"])
+        self.assert_one_error_line(capfd, code, path)
+
+    def test_unwritable_output_exit_code(self, tmp_path, capfd, config_file, monkeypatch):
+        # capfd sees the file descriptors, so a forked writer's traceback would show too
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        prefix = tmp_path / "absent" / "out"
+        code = cli.main(["run", "--config", str(config_file),
+                         "--override", f"output={prefix}", "--override", "runs=2"])
+        self.assert_one_error_line(capfd, code, f"{prefix}_runs.csv")
