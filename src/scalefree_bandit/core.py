@@ -21,8 +21,13 @@ One round, in order:
    transitions to obtain the next round's weights.
 
 Steps 2-4 are :func:`round_step`, the only copy of the recursion, written
-over a leading runs axis: :class:`ScaleFreeBandit` runs it on one weight
-vector, :func:`scalefree_bandit.harness.simulate_runs` on a batch of runs.
+arm-major: the state (log-weights and probabilities) is ``(M,)`` for
+:class:`ScaleFreeBandit` and ``(M, runs)`` for
+:func:`scalefree_bandit.harness.simulate_runs`, every reduction over the
+arms is along axis 0, and every per-run quantity is a scalar or a
+``(runs,)`` row that broadcasts against the state as it is. A batched sum
+over 8 or more arms goes through a contiguous ``(runs, M)`` copy, so it
+keeps numpy's pairwise order and each run's sum has the bits it has alone.
 
 Before the first nonzero excess the adaptive rate is undefined (NaN in the
 kernel, None in :class:`AdaptiveState`): the current rate is borrowed (power
@@ -81,10 +86,10 @@ def mixture_coefficient(t: int, n_arms: int) -> float:
 
 
 def selection_probabilities(p: np.ndarray, eps: float) -> np.ndarray:
-    """Mix the arm probabilities (last axis) with a uniform floor of eps."""
+    """Mix the arm probabilities (axis 0) with a uniform floor of eps."""
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"mixture coefficient must be in (0, 1/2], got {eps}")
-    return (1.0 - eps) * p + eps / p.shape[-1]
+    return (1.0 - eps) * p + eps / p.shape[0]
 
 
 # Per-run quantities are scalars for one learner and (runs,) arrays for a
@@ -101,13 +106,21 @@ def _where(mask, a, b):
     return a if mask else b
 
 
-def _col(x):
-    """Per-run values as a column against (runs, M) rows."""
-    return x[..., None] if isinstance(x, np.ndarray) else x
+def _arm_sum(x: np.ndarray):
+    """Sum over the arms (axis 0) in the order numpy sums one contiguous row.
+
+    numpy sums a contiguous row pairwise (8 accumulators once it holds 8
+    elements) but a leading axis in sequence; the two agree bit for bit only
+    below 8 arms. From 8 arms on, a batch is summed as a contiguous
+    ``(runs, M)`` copy.
+    """
+    if x.ndim == 1 or x.shape[0] < 8:
+        return x.sum(axis=0)
+    return np.ascontiguousarray(x.T).sum(axis=1)
 
 
 def arm_probabilities(log_w: np.ndarray) -> np.ndarray:
-    """Normalized arm probabilities from log-weights (last axis).
+    """Normalized arm probabilities from log-weights (axis 0).
 
     The only route from stored weights to probabilities, so a restored
     learner has the same probabilities bit for bit. Stored log-weights have
@@ -115,10 +128,10 @@ def arm_probabilities(log_w: np.ndarray) -> np.ndarray:
     inputs must stay inside exp's range.
     """
     e = np.exp(log_w)
-    total = e.sum(axis=-1)
+    total = _arm_sum(e)
     if not _all((total > 0.0) & (total < math.inf)):
         raise NumericalDegeneracyError("weight mass vanished or is not finite")
-    e /= _col(total)
+    e /= total
     return e
 
 
@@ -171,11 +184,11 @@ def fixed_share(z: np.ndarray, total, alpha: float) -> np.ndarray:
 
     Each arm keeps 1 - alpha of its weight and receives alpha / (M - 1) of
     every other arm's: (1 - alpha) z + alpha / (M - 1) (total - z), where
-    ``total`` is the sum of ``z`` over the last axis (Herbster & Warmuth,
+    ``total`` is the sum of ``z`` over the arms, axis 0 (Herbster & Warmuth,
     "Tracking the best expert", 1998). All terms are non-negative.
     """
     w = total - z
-    w *= alpha / (z.shape[-1] - 1)
+    w *= alpha / (z.shape[0] - 1)
     w += (1.0 - alpha) * z
     return w
 
@@ -192,20 +205,21 @@ def weight_step(model: CompetitionModel, log_w: np.ndarray, sel, exponent, power
     if not _all((power > 0.0) & (power <= 1.0)):
         raise ValueError(f"power must be in (0, 1], got {power}")
     log_z = log_w.copy()
-    log_z[sel] -= exponent
-    log_z *= _col(power)
-    top = log_z.max(axis=-1)
-    log_z -= _col(top)
+    log_z.reshape(-1)[sel] -= exponent
+    log_z *= power
+    top = log_z.max(axis=0)
+    log_z -= top
     z = np.exp(log_z)
-    total = z.sum(axis=-1)
-    log_in = top + np.log(total)
+    total = _arm_sum(z)
+    log_total = np.log(total)
+    log_in = top + log_total
     if model.kind == "identity":
-        log_next = log_z - _col(np.log(total))
+        log_next = log_z - log_total
         log_out = log_in
     else:
-        w = fixed_share(z, _col(total), model.alpha)
-        total_out = w.sum(axis=-1)
-        log_next = np.log(w / _col(total_out))
+        w = fixed_share(z, total, model.alpha)
+        total_out = _arm_sum(w)
+        log_next = np.log(w / total_out)
         log_out = top + np.log(total_out)
     return log_next, arm_probabilities(log_next), log_in, log_out
 
@@ -214,13 +228,15 @@ def round_step(model: CompetitionModel, log_w: np.ndarray, p: np.ndarray, q: np.
                sel, loss, stats: tuple, gamma, fixed_rate=None):
     """One round after the selection: adaptive step, then weight step.
 
-    ``log_w``, ``p``, ``q`` are ``(M,)`` or ``(runs, M)``, ``sel`` indexes the
-    selected arm in each row (``arm`` or ``(rows, arms)``), and ``loss`` and
+    ``log_w``, ``p``, ``q`` are arm-major, ``(M,)`` for one learner or
+    ``(M, runs)`` for a batch. ``sel`` is the flat index of the selected arm
+    in them: ``arm``, or ``arm * runs + run`` per run. ``loss`` and
     ``stats`` (running minimum, second moment, spread, previous rate) are
-    per run. Returns the next (log_w, p, stats, (log_in, log_out)).
+    scalars or ``(runs,)`` rows. Returns the next (log_w, p, stats,
+    (log_in, log_out)).
     """
     min_loss, second, spread, rate, exponent, power = adaptive_step(
-        loss, q[sel], p[sel], *stats, gamma, fixed_rate)
+        loss, q.reshape(-1)[sel], p.reshape(-1)[sel], *stats, gamma, fixed_rate)
     log_w, p, log_in, log_out = weight_step(model, log_w, sel, exponent, power)
     return log_w, p, (min_loss, second, spread, rate), (log_in, log_out)
 

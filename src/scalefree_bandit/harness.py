@@ -39,7 +39,6 @@ import shutil
 import signal
 import sys
 import threading
-import traceback
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -268,14 +267,21 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
                   base_seed: int, runs: int) -> SimulationRecord:
     """Play `runs` independent learners over the stream in lockstep.
 
-    Run r draws its arms from the spawned stream (base_seed, r). Each row
-    runs :func:`~scalefree_bandit.core.round_step` as a sequential
+    Run r draws its arms from the spawned stream (base_seed, r). Each run
+    goes through :func:`~scalefree_bandit.core.round_step` as a sequential
     :class:`~scalefree_bandit.core.ScaleFreeBandit` does: the same arms and
     running minima, probabilities and rates equal up to how numpy rounds
-    batched and one-row transcendentals (a few ulp at most).
+    batched and one-row transcendentals (a few ulp at most). A run's bits do
+    not depend on how many runs share its batch.
 
-    Beside the record and the ``(runs, M)`` state, the engine holds one
-    block of uniforms, at most ``_BLOCK_ROUNDS`` rounds by ``runs``: each
+    The state is arm-major, ``(M, runs)``: each run is a column, so the
+    reductions over the arms walk contiguous rows, and every per-run value
+    is a ``(runs,)`` row. Run r's arm is the number of entries of its
+    cumulative selection probabilities at or below its uniform, capped at
+    ``M - 1`` because the total can round below 1.
+
+    Beside the record and the state, the engine holds one block of
+    uniforms, at most ``_BLOCK_ROUNDS`` rounds by ``runs``: each
     run's generator refills its column every block, and successive Philox
     draws continue one stream, so the doubles are those of a single
     ``random(T)`` call. The rate is written as computed, and the NaN of the
@@ -295,7 +301,7 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
     generators = (run_generator(base_seed, r) for r in range(runs))
     if horizon > block:
         generators = list(generators)  # kept for the refills; a single block needs none
-    log_w = np.tile(model.log_prior, (runs, 1))
+    log_w = np.repeat(model.log_prior[:, None], runs, axis=1)
     p = arm_probabilities(log_w)
     stats = (
         np.full(runs, np.inf),  # running minimum
@@ -313,13 +319,9 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
                 uniforms[:n, r] = gen.random(n)
         eps = mixture_coefficient(t + 1, n_arms)
         q = selection_probabilities(p, eps)
-        cdf = np.cumsum(q, axis=1)
-        u = uniforms[offset]
-        arm = np.argmax(u[:, None] < cdf, axis=1)
-        overflow = u >= cdf[:, -1]
-        if overflow.any():
-            arm[overflow] = n_arms - 1
-        log_w, p, stats, _ = round_step(model, log_w, p, q, (rows, arm), matrix[t, arm],
+        arm = np.add.reduce(np.cumsum(q, axis=0) <= uniforms[offset], axis=0)
+        np.minimum(arm, n_arms - 1, out=arm)
+        log_w, p, stats, _ = round_step(model, log_w, p, q, arm * runs + rows, matrix[t, arm],
                                         stats, gamma)
 
         arms[:, t] = arm
@@ -329,7 +331,7 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
             slab = eta[:, t - offset:t + 1]
             np.copyto(slab, np.inf, where=np.isnan(slab))  # the degenerate prefix
 
-    return SimulationRecord(arms, eta, eps_hist, p, matrix)
+    return SimulationRecord(arms, eta, eps_hist, np.ascontiguousarray(p.T), matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +407,24 @@ def _regret_statistics(record: SimulationRecord, comp_cum: np.ndarray):
     return mean, stderr, final_regrets
 
 
+def _check_writable(path) -> None:
+    """Raise the error that writing `path` would raise; create no file."""
+    existed = os.path.lexists(path)
+    with open(path, "ab"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def run_experiment(cfg: ExperimentConfig, engine=simulate_runs) -> RegretReport:
     validate_config(cfg)
     try:
         model = parse_model(cfg.model, cfg.M)
     except ValueError as exc:
         raise ConfigError(f"key 'model': {exc}") from None
+    if cfg.output is not None:  # an unwritable prefix fails before any work
+        _check_writable(f"{cfg.output}_runs.csv")
+        _check_writable(f"{cfg.output}_summary.csv")
     stream = build_stream(cfg)
     comp_path, k = competition_path(cfg, stream)
     comp_losses = stream.matrix[np.arange(stream.horizon), comp_path]
@@ -497,10 +511,11 @@ def _fork_writer(part: str, *args) -> int:
         with open(part, "wb") as fh:
             _write_run_rows(fh, *args)
         status = 0
-    except BaseException:
-        # report through the exit status: nothing may unwind into the
+    except BaseException as exc:
+        # one stderr line and the exit status: nothing may unwind into the
         # caller's frames, which this forked copy shares with the parent
-        traceback.print_exc()
+        reason = " ".join((str(exc) or type(exc).__name__).split())
+        sys.stderr.write(f"worker writing {part} failed: {reason}\n")
         sys.stderr.flush()
     finally:
         os._exit(status)
@@ -516,6 +531,8 @@ def write_runs_csv(path, record: SimulationRecord, comp_path: np.ndarray,
     deleted. `path` is opened before any fork, and the header is written
     after. The bytes do not depend on the number of chunks. Without
     ``os.fork``, or with other threads alive, every chunk is written here.
+    On any failure after `path` is opened, `path` and every part file are
+    removed and every worker is reaped.
     """
     runs = record.arms.shape[0]
     n_chunks = min(runs, _usable_cpus()) or 1
@@ -523,9 +540,10 @@ def write_runs_csv(path, record: SimulationRecord, comp_path: np.ndarray,
     chunks = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     args = (record, comp_path, comp_losses)
     forking = n_chunks > 1 and hasattr(os, "fork") and threading.active_count() == 1
+    fh = open(path, "wb")  # an unwritable path fails before any fork
     pids, parts = [], []
     try:
-        with open(path, "wb") as fh:  # an unwritable path fails before any fork
+        with fh:
             if forking:
                 for i in range(1, n_chunks):
                     parts.append(_part_path(path, i))
@@ -542,6 +560,10 @@ def write_runs_csv(path, record: SimulationRecord, comp_path: np.ndarray,
                 with open(part, "rb") as src:
                     shutil.copyfileobj(src, fh)
                 os.remove(parts.pop(0))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)

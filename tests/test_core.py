@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from scalefree_bandit import core
 from scalefree_bandit.competitions import CompetitionModel, fixed_arm_model, fixed_share_model
 from scalefree_bandit.core import (
     NumericalDegeneracyError,
@@ -30,6 +31,19 @@ def adapt(loss, q_sel=1.0, p_sel=1.0, min_loss=math.inf, V=0.0, D=0.0,
 def logsumexp(a):
     m = a.max()
     return m + math.log(np.exp(a - m).sum())
+
+
+class TestArmSum:
+    def test_batched_sum_has_the_bits_of_one_row(self):
+        # numpy sums one contiguous row pairwise from 8 elements on, but a
+        # leading axis in sequence; the batch must keep each run's row order
+        rng = np.random.default_rng(0)
+        for n_arms in range(2, 301):
+            for runs in (1, 2, 7, 200):
+                x = np.exp(rng.normal(0.0, 5.0, (n_arms, runs)))
+                rows = np.ascontiguousarray(x.T)
+                assert core._arm_sum(x).tobytes() == rows.sum(axis=-1).tobytes(), (n_arms, runs)
+                assert core._arm_sum(rows[0]).tobytes() == rows[0].sum().tobytes()
 
 
 class TestMixtureCoefficient:

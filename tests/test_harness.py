@@ -4,7 +4,7 @@ import math
 import os
 import shutil
 import tracemalloc
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -230,6 +230,25 @@ class TestEngineEquivalence:
             negative_zero = (seq.psi == 0) & np.signbit(seq.psi)
             assert negative_zero.any() and (seq.psi == 0)[~negative_zero].any()
 
+    @pytest.mark.parametrize("n_arms", [8, 16])
+    def test_vectorized_matches_sequential_above_four_arms(self, n_arms):
+        # from 8 arms on, the batched sums over the arms go through a (runs, M) copy
+        stream = two_segment_stream(n_arms=n_arms, horizon=300)
+        for model in (fixed_share_model(n_arms, 1 / 300), fixed_arm_model(n_arms)):
+            assert_engine_matches_sequential(model, stream)
+
+    @pytest.mark.parametrize("n_arms", [3, 4, 7, 8, 9, 16, 64])
+    def test_run_bits_do_not_depend_on_batch(self, n_arms):
+        # run 0 alone, and beside 1, 6 and 199 other runs
+        stream = scripted(np.random.default_rng(n_arms).uniform(-1.0, 2.0, (60, n_arms)))
+        for model in (fixed_share_model(n_arms, 0.01), fixed_arm_model(n_arms)):
+            alone = simulate_runs(model, 2.5, stream, base_seed=9, runs=1)
+            for runs in (2, 7, 200):
+                batch = simulate_runs(model, 2.5, stream, base_seed=9, runs=runs)
+                assert batch.arms[0].tobytes() == alone.arms[0].tobytes()
+                assert batch.eta[0].tobytes() == alone.eta[0].tobytes()
+                assert batch.final_probs[0].tobytes() == alone.final_probs[0].tobytes()
+
     def test_engine_matches_sequential_at_extreme_alpha(self):
         # alpha > (M-1)/M: leaving is likelier than staying
         stream = two_segment_stream(n_arms=2, horizon=300)
@@ -436,6 +455,36 @@ class TestRunExperiment:
         assert not record.matrix.flags.writeable
         assert record.losses.shape == record.psi.shape == (cfg.runs, cfg.T)
 
+    @staticmethod
+    def recording_engine(calls, fail=False):
+        def engine(*args):
+            calls.append(args)
+            if fail:
+                raise NumericalDegeneracyError("stub engine")
+            return simulate_runs(*args)
+        return engine
+
+    def test_unwritable_output_fails_before_the_engine(self, tmp_path):
+        calls = []
+        cfg = replace(self.zero_config(tmp_path), output=str(tmp_path / "absent" / "out"))
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(FileNotFoundError, match=r"absent/out_runs\.csv"):
+            run_experiment(cfg, engine=self.recording_engine(calls))
+        assert calls == []
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_output_check_creates_and_truncates_nothing(self, tmp_path):
+        # the engine fails after the check: no new output file is left, and an
+        # existing one keeps its bytes
+        calls = []
+        cfg = replace(self.zero_config(tmp_path), output=str(tmp_path / "out"))
+        (tmp_path / "out_summary.csv").write_bytes(b"kept")
+        with pytest.raises(NumericalDegeneracyError, match="stub"):
+            run_experiment(cfg, engine=self.recording_engine(calls, fail=True))
+        assert len(calls) == 1
+        assert not (tmp_path / "out_runs.csv").exists()
+        assert (tmp_path / "out_summary.csv").read_bytes() == b"kept"
+
     def test_unrealizable_competition_gives_infinite_bound(self, tmp_path):
         cfg = ExperimentConfig(
             M=2, T=40, runs=1, seed=0, gamma=1.0, model="fixed",
@@ -561,7 +610,7 @@ class TestCsvWriters:
         comp_losses = build_stream(cfg).matrix[np.arange(cfg.T), report.comp_path]
         self.assert_same_bytes(tmp_path, monkeypatch, report.record, report.comp_path, comp_losses)
 
-    def test_failed_worker_raises_and_is_reaped(self, tmp_path, monkeypatch, forks):
+    def test_failed_worker_raises_and_is_reaped(self, tmp_path, monkeypatch, forks, capfd):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
         path = tmp_path / "out.csv"
         os.mkdir(harness._part_path(path, 2))  # the last worker cannot open its part file
@@ -573,8 +622,12 @@ class TestCsvWriters:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
         assert not os.path.exists(harness._part_path(path, 1))
+        assert not path.exists()
+        err = capfd.readouterr().err  # the file descriptors: the workers' output shows too
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and harness._part_path(path, 2) in err
 
-    def test_own_write_failure_reaps_workers(self, tmp_path, monkeypatch, forks):
+    def test_own_write_failure_reaps_workers(self, tmp_path, monkeypatch, forks, capfd):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
         path = tmp_path / "out.csv"
         args = self.sweep(two_segment_stream(horizon=50), 3)
@@ -591,6 +644,8 @@ class TestCsvWriters:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
         assert not list(tmp_path.glob("*.part"))
+        assert not path.exists()
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_unwritable_path_fails_before_fork(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
