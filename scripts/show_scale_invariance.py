@@ -34,10 +34,10 @@ def main() -> None:
         print(f"losses -> {a:g}*l + {b:g}: identical selections = {same}")
 
     print("\nExp3 with declared range [0, 1]:")
-    out = run_exp3(stream, seed=17)
-    print(f"  raw stream: final p = {np.round(out['final_probs'], 3)}")
+    out = run_exp3(stream, [17])
+    print(f"  raw stream: final p = {np.round(out['final_probs'][0], 3)}")
     try:
-        run_exp3(affine(stream, 100.0, 0.0), seed=17)
+        run_exp3(affine(stream, 100.0, 0.0), [17])
     except ValueError as exc:
         print(f"  100x stream: rejected ({exc})")
 

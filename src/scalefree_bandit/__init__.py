@@ -2,7 +2,7 @@
 
 Modules: :mod:`core` (the learner), :mod:`competitions` (competition models and
 complexity), :mod:`environments` (loss streams), :mod:`reference`
-(verification oracles and the Exp3 baseline), :mod:`harness` (experiment
+(verification oracles and an Exp3 comparison), :mod:`harness` (experiment
 runner and CSV output), :mod:`verify` (self-check suites).
 """
 

@@ -1,12 +1,13 @@
 """Competition models: prior, transition structure, and path complexity.
 
 A competition model describes which arm-selection sequences the bandit is
-expected to track. Each model is a prior over arms and a row-stochastic
-transition between the arms of consecutive rounds. The weight of a whole
+expected to track. A model is ``(n_arms, alpha)``: a uniform prior over the
+arms and, from one round to the next, the identity transition (``alpha``
+None) or fixed share with switching rate ``alpha``. The weight of a whole
 path is the prior of its first arm times the product of its transitions,
-and the path's learning "hardness" is the complexity functional computed
-by :func:`complexity`. For both shipped models that weight depends only on
-the first arm and the number of switches.
+so it depends only on the path's length and number of switches, and the
+path's learning "hardness" is the complexity functional computed by
+:func:`complexity`.
 
 Shipped models:
 
@@ -18,6 +19,7 @@ Shipped models:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,40 +27,39 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class CompetitionModel:
-    """Immutable prior over arms and transition structure.
-
-    ``kind`` selects the weight sharing strategy: ``identity`` (fixed arms)
-    or ``fixed_share`` (switching arms), both O(M) per round. The arms are
-    the same at every round.
+    """Immutable ``(n_arms, alpha)``: a uniform prior, and identity transitions
+    (``alpha`` None) or fixed share at switching rate ``alpha`` in (0, 1).
+    Stored as ``int`` and ``float``: numpy scalars snapshot as plain numbers.
     """
 
-    spec: str
     n_arms: int
-    log_prior: np.ndarray
-    kind: str
     alpha: float | None = None
 
     def __post_init__(self):
-        # own private copy so freezing it cannot alias the caller's array
-        log_prior = np.array(self.log_prior, dtype=np.float64)
-        object.__setattr__(self, "log_prior", log_prior)
+        object.__setattr__(self, "n_arms", operator.index(self.n_arms))
         if self.n_arms < 2:
             raise ValueError("competition model needs at least 2 arms")
-        if log_prior.shape != (self.n_arms,):
-            raise ValueError("log_prior must have one entry per arm")
-        total = np.exp(log_prior).sum()
-        if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
-            raise ValueError(f"prior must sum to 1, got {total!r}")
-        if self.kind not in ("identity", "fixed_share"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == "fixed_share" and not (self.alpha and 0.0 < self.alpha < 1.0):
-            raise ValueError(f"fixed_share requires alpha in (0, 1), got {self.alpha!r}")
-        log_prior.setflags(write=False)
+        if self.alpha is not None:
+            object.__setattr__(self, "alpha", float(self.alpha))
+            if not 0.0 < self.alpha < 1.0:
+                raise ValueError(f"switching rate alpha must be in (0, 1), got {self.alpha!r}")
+
+    @property
+    def spec(self) -> str:
+        """The configuration string :func:`parse_model` reads back."""
+        return "fixed" if self.alpha is None else f"switching:{self.alpha!r}"
+
+    @property
+    def log_prior(self) -> np.ndarray:
+        """Read-only uniform log prior, ``-log M`` per arm."""
+        out = np.full(self.n_arms, -math.log(self.n_arms))
+        out.setflags(write=False)
+        return out
 
     def log_transition_matrix(self) -> np.ndarray:
         """Dense log transitions, entry [prev, next] = log T(next | prev)."""
         n = self.n_arms
-        if self.kind == "identity":
+        if self.alpha is None:
             stay, move = 0.0, -math.inf
         else:
             stay, move = math.log1p(-self.alpha), math.log(self.alpha / (n - 1))
@@ -72,27 +73,12 @@ class CompetitionModel:
 
 def fixed_arm_model(n_arms: int) -> CompetitionModel:
     """Identity transitions, uniform prior."""
-    if n_arms < 2:
-        raise ValueError("need at least 2 arms")
-    return CompetitionModel(
-        spec="fixed",
-        n_arms=n_arms,
-        log_prior=np.full(n_arms, -math.log(n_arms)),
-        kind="identity",
-    )
+    return CompetitionModel(n_arms)
 
 
 def fixed_share_model(n_arms: int, alpha: float) -> CompetitionModel:
     """Stay w.p. 1-alpha, spread alpha over the other arms; uniform prior."""
-    if n_arms < 2:
-        raise ValueError("need at least 2 arms")
-    return CompetitionModel(
-        spec=f"switching:{alpha!r}",
-        n_arms=n_arms,
-        log_prior=np.full(n_arms, -math.log(n_arms)),
-        kind="fixed_share",
-        alpha=float(alpha),
-    )
+    return CompetitionModel(n_arms, alpha)
 
 
 def parse_model(spec: str, n_arms: int) -> CompetitionModel:
@@ -114,14 +100,14 @@ def switch_count(path) -> int:
     return int(np.count_nonzero(path[1:] != path[:-1]))
 
 
-def _path_complexity(model: CompetitionModel, horizon: int, first_log_prior: float,
-                     switches: int) -> float:
-    """log space size - log prior of the first arm - log transitions of a
-    path with `switches` changes; +inf where the model cannot switch."""
+def _path_complexity(model: CompetitionModel, horizon: int, switches: int) -> float:
+    """log space size - log prior of the first arm (uniform: + log M) - log
+    transitions of a path with `switches` changes; +inf where the model
+    cannot switch."""
     n = model.n_arms
     log_space = 0.0 if horizon == 1 else math.log(n)
-    head = log_space - first_log_prior
-    if model.kind == "identity":
+    head = log_space + math.log(n)
+    if model.alpha is None:
         return head if switches == 0 else math.inf
     per_switch = math.log((n - 1) / model.alpha)
     per_stay = -math.log1p(-model.alpha)
@@ -141,15 +127,13 @@ def complexity(model: CompetitionModel, path) -> float:
         raise ValueError("path must have at least one round")
     if path.min() < 0 or path.max() >= model.n_arms:
         raise ValueError("path contains out-of-range arm indices")
-    return _path_complexity(model, path.size, float(model.log_prior[path[0]]),
-                            switch_count(path))
+    return _path_complexity(model, path.size, switch_count(path))
 
 
 def complexity_budget(model: CompetitionModel, horizon: int, switches: int) -> float:
     """Largest complexity over paths with at most `switches` changes.
 
-    Closed form for both model kinds (uniform prior); used for auto-tuning
-    gamma.
+    Closed form for both transition structures; used for auto-tuning gamma.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -158,9 +142,9 @@ def complexity_budget(model: CompetitionModel, horizon: int, switches: int) -> f
     n = model.n_arms
     # linear in the switch count k, so the largest value is at k = 0 or k = switches;
     # an identity model only realizes k = 0
-    grows = (model.kind == "fixed_share"
+    grows = (model.alpha is not None
              and math.log((n - 1) / model.alpha) > -math.log1p(-model.alpha))
-    return _path_complexity(model, horizon, -math.log(n), switches if grows else 0)
+    return _path_complexity(model, horizon, switches if grows else 0)
 
 
 def default_gamma(model: CompetitionModel, horizon: int, switches: int) -> float:

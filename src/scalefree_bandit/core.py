@@ -1,12 +1,11 @@
 """Adversarial bandit state machine with affine-invariant selection behavior.
 
-The algorithm keeps one log-domain weight per arm (each competition-model
-class is one arm), turns them into arm probabilities, explores with a
-decaying uniform mixture, and learns from an importance-weighted excess
-loss: the incurred loss minus the smallest loss seen so far, divided by the
-probability of the selected arm. Translating or positively rescaling every
-loss leaves the selection behavior unchanged because the excess rescales
-while the self-tuned learning rate rescales inversely.
+The algorithm keeps one log-domain weight per arm, turns them into arm
+probabilities, explores with a decaying uniform mixture, and learns from an
+importance-weighted excess loss: the incurred loss minus the smallest loss
+seen so far, divided by the probability of the selected arm. Translating or
+positively rescaling every loss leaves the selection behavior unchanged
+because the excess rescales while the learning rate rescales inversely.
 
 One round, in order:
 
@@ -73,7 +72,6 @@ class AdaptiveState:
     spread_max: float
     rate_prev: float | None
     gamma: float | None
-    n_arms: int
 
 
 def mixture_coefficient(t: int, n_arms: int) -> float:
@@ -142,6 +140,14 @@ def sample_arm(q: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, q.shape[0] - 1)
 
 
+def draw_arms(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`sample_arm` per run, ``q`` ``(M, runs)``, ``u`` ``(runs,)``: the count of
+    cumulative probabilities at or below u, capped at M - 1 (the total can round below 1)."""
+    arm = np.add.reduce(np.cumsum(q, axis=0) <= u, axis=0)
+    np.minimum(arm, q.shape[0] - 1, out=arm)
+    return arm
+
+
 # ---------------------------------------------------------------------------
 # the round kernel
 # ---------------------------------------------------------------------------
@@ -201,9 +207,14 @@ def weight_step(model: CompetitionModel, log_w: np.ndarray, sel, exponent, power
     Returns (next log-weights of mass 1, their arm probabilities, log mass
     entering the sharing step, log mass leaving it); the two masses agree up
     to rounding because the transitions are stochastic.
+
+    ``power`` is in (0, 1] by construction, so it is not checked: the rate's
+    denominator (second moment + spread^2) never falls, as its terms never do
+    and ``+``, ``*``, ``sqrt`` and ``gamma / x`` are monotone under
+    round-to-nearest, so the rate ratio is at most 1; the rate check of
+    :func:`adaptive_step` (finite, positive denominators) keeps it above
+    1e-316. :meth:`ScaleFreeBandit.restore` rejects unreachable statistics.
     """
-    if not _all((power > 0.0) & (power <= 1.0)):
-        raise ValueError(f"power must be in (0, 1], got {power}")
     log_z = log_w.copy()
     log_z.reshape(-1)[sel] -= exponent
     log_z *= power
@@ -213,7 +224,7 @@ def weight_step(model: CompetitionModel, log_w: np.ndarray, sel, exponent, power
     total = _arm_sum(z)
     log_total = np.log(total)
     log_in = top + log_total
-    if model.kind == "identity":
+    if model.alpha is None:
         log_next = log_z - log_total
         log_out = log_in
     else:
@@ -284,7 +295,6 @@ class ScaleFreeBandit:
             spread_max=0.0,
             rate_prev=None,
             gamma=None if gamma is None else float(gamma),
-            n_arms=self._n_arms,
         )
         self._rng = rng if rng is not None else make_generator(seed)
         self._phase = "select"
@@ -367,7 +377,6 @@ class ScaleFreeBandit:
             spread_max=spread,
             rate_prev=None if math.isnan(rate) else rate,
             gamma=old.gamma,
-            n_arms=old.n_arms,
         )
         self._pending = None
         self._phase = "select"
@@ -415,16 +424,24 @@ class ScaleFreeBandit:
             rng=restore_generator(snap["rng"]),
             fixed_rate=snap["fixed_rate"],
         )
+        second, spread = float(snap["second_moment"]), float(snap["spread_max"])
+        for name, value in (("second_moment", second), ("spread_max", spread)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"snapshot {name} must be finite and >= 0, got {value!r}")
+        rate_prev = None if snap["rate_prev"] is None else float(snap["rate_prev"])
+        if state._fixed_rate is None:
+            # the kernel's rate from these statistics, bit for bit; it raises at 0 and inf
+            denom = second + spread * spread
+            rate = None if denom == 0.0 else state._stats.gamma / math.sqrt(denom)
+            if rate_prev != rate or rate in (0.0, math.inf):
+                raise ValueError(f"snapshot rate_prev {rate_prev!r} is not gamma / "
+                                 f"sqrt(second_moment + spread_max**2) = {rate!r}")
         state._log_w = np.array(snap["log_weights"], dtype=np.float64)
         state._p = arm_probabilities(state._log_w)
         state._stats = replace(
-            state._stats,
-            round=int(snap["round"]),
+            state._stats, round=int(snap["round"]), second_moment=second, spread_max=spread,
             min_loss=math.inf if snap["min_loss"] is None else float(snap["min_loss"]),
-            second_moment=float(snap["second_moment"]),
-            spread_max=float(snap["spread_max"]),
-            rate_prev=None if snap["rate_prev"] is None else float(snap["rate_prev"]),
-        )
+            rate_prev=rate_prev)
         return state
 
     def save(self, path) -> None:

@@ -45,7 +45,8 @@ import numpy as np
 
 from . import environments, reference
 from .competitions import CompetitionModel, complexity, default_gamma, parse_model
-from .core import arm_probabilities, mixture_coefficient, round_step, selection_probabilities
+from .core import (arm_probabilities, draw_arms, mixture_coefficient, round_step,
+                   selection_probabilities)
 from .environments import LossStream
 from .rng import run_generator
 
@@ -276,9 +277,8 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
 
     The state is arm-major, ``(M, runs)``: each run is a column, so the
     reductions over the arms walk contiguous rows, and every per-run value
-    is a ``(runs,)`` row. Run r's arm is the number of entries of its
-    cumulative selection probabilities at or below its uniform, capped at
-    ``M - 1`` because the total can round below 1.
+    is a ``(runs,)`` row. The arms are drawn by
+    :func:`~scalefree_bandit.core.draw_arms`, one uniform per run.
 
     Beside the record and the state, the engine holds one block of
     uniforms, at most ``_BLOCK_ROUNDS`` rounds by ``runs``: each
@@ -319,8 +319,7 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
                 uniforms[:n, r] = gen.random(n)
         eps = mixture_coefficient(t + 1, n_arms)
         q = selection_probabilities(p, eps)
-        arm = np.add.reduce(np.cumsum(q, axis=0) <= uniforms[offset], axis=0)
-        np.minimum(arm, n_arms - 1, out=arm)
+        arm = draw_arms(q, uniforms[offset])
         log_w, p, stats, _ = round_step(model, log_w, p, q, arm * runs + rows, matrix[t, arm],
                                         stats, gamma)
 

@@ -1,4 +1,4 @@
-"""Verification oracles and a baseline learner.
+"""Verification oracles and an Exp3 comparison.
 
 Everything here exists to cross-check the optimized core by an independent
 route:
@@ -11,9 +11,8 @@ route:
 * :func:`best_fixed_arm` / :func:`best_switching_sequence` -- hindsight
   competition oracles (brute force column sums, and a switch-budgeted
   dynamic program).
-* :class:`Exp3Baseline` -- classic exponential-weighting bandit that
-  *requires* a declared loss range, the assumption the scale-free learner
-  removes.
+* :func:`run_exp3` -- Exp3, batched over seeds; it *requires* a declared
+  loss range, the assumption the scale-free learner removes.
 
 Oracles take scripted arm choices instead of sampling so that comparisons
 against the core are free of RNG effects.
@@ -27,7 +26,7 @@ import math
 import numpy as np
 
 from .competitions import CompetitionModel
-from .core import ScaleFreeBandit, mixture_coefficient, sample_arm
+from .core import ScaleFreeBandit, arm_probabilities, draw_arms, mixture_coefficient
 from .environments import LossStream
 from .rng import make_generator
 
@@ -324,65 +323,41 @@ def enumerate_best_sequence(stream: LossStream, max_switches: int) -> tuple[np.n
 
 
 # ---------------------------------------------------------------------------
-# Exp3 baseline
+# Exp3
 # ---------------------------------------------------------------------------
 
-class Exp3Baseline:
-    """Exponential weighting over importance-weighted losses.
+def run_exp3(stream: LossStream, seeds, loss_range: tuple[float, float] = (0.0, 1.0)) -> dict:
+    """Exp3 (Auer, Cesa-Bianchi, Freund & Schapire 2002), one run per seed in lockstep.
 
-    Needs its loss range declared up front; observations outside the range
-    are rejected, which is precisely the scale sensitivity the adaptive
-    learner avoids. Rate schedule: sqrt(log(M) / (M * t)).
+    Exponential weights over importance-weighted losses rescaled from a range
+    that no loss may leave. Rate sqrt(log(M) / (M t)); state ``(M, runs)``; run r draws with
+    :func:`~scalefree_bandit.core.draw_arms` from ``make_generator(seeds[r]).random(T)``.
+    Returns ``(runs, T)`` arms and losses, and ``(runs, M)`` final probabilities.
     """
+    lo, hi = (float(x) for x in loss_range)
+    if not hi > lo:
+        raise ValueError("declared loss range must be non-degenerate")
+    matrix = stream.matrix
+    horizon, n_arms = matrix.shape
+    runs = len(seeds)
+    uniforms = np.stack([make_generator(seed).random(horizon) for seed in seeds], axis=1)  # (T, runs)
+    cum_estimate = np.zeros((n_arms, runs))
+    rows = np.arange(runs)
+    arms = np.empty((runs, horizon), dtype=np.intp)
 
-    def __init__(self, n_arms: int, rng: np.random.Generator,
-                 loss_range: tuple[float, float] = (0.0, 1.0)):
-        lo, hi = loss_range
-        if not hi > lo:
-            raise ValueError("declared loss range must be non-degenerate")
-        self.n_arms = n_arms
-        self.rng = rng
-        self.loss_range = (float(lo), float(hi))
-        self.cum_estimate = np.zeros(n_arms)
-        self.t = 1
-        self._pending: tuple[int, float] | None = None
+    def probabilities(t):
+        scores = -math.sqrt(math.log(n_arms) / (n_arms * t)) * cum_estimate
+        return arm_probabilities(scores - scores.max(axis=0))
 
-    def probabilities(self) -> np.ndarray:
-        rate = math.sqrt(math.log(self.n_arms) / (self.n_arms * self.t))
-        scores = -rate * self.cum_estimate
-        scores -= scores.max()
-        e = np.exp(scores)
-        return e / e.sum()
-
-    def select(self) -> int:
-        p = self.probabilities()
-        arm = sample_arm(p, self.rng)
-        self._pending = (arm, float(p[arm]))
-        return arm
-
-    def update(self, loss: float) -> None:
-        if self._pending is None:
-            raise RuntimeError("update() without a pending select()")
-        arm, prob = self._pending
-        lo, hi = self.loss_range
-        if not lo <= loss <= hi:
-            raise ValueError(
-                f"loss {loss} outside declared range [{lo}, {hi}]"
-            )
-        self.cum_estimate[arm] += (loss - lo) / (hi - lo) / prob
-        self._pending = None
-        self.t += 1
-
-
-def run_exp3(stream: LossStream, seed: int = 0,
-             loss_range: tuple[float, float] = (0.0, 1.0)) -> dict:
-    """Play the Exp3 baseline against a stream; selection trajectory."""
-    learner = Exp3Baseline(stream.n_arms, make_generator(seed), loss_range=loss_range)
-    arms = np.empty(stream.horizon, dtype=np.intp)
-    losses = np.empty(stream.horizon)
-    for t in range(stream.horizon):
-        arm = learner.select()
-        learner.update(stream.loss(t, arm))
-        arms[t] = arm
-        losses[t] = stream.loss(t, arm)
-    return {"arms": arms, "losses": losses, "final_probs": learner.probabilities()}
+    for t in range(horizon):
+        p = probabilities(t + 1)
+        arm = draw_arms(p, uniforms[t])
+        loss = matrix[t, arm]
+        outside = loss[(loss < lo) | (loss > hi)]  # stream losses are finite
+        if outside.size:
+            raise ValueError(f"loss {outside[0]} outside declared range [{lo}, {hi}]")
+        sel = arm * runs + rows
+        cum_estimate.reshape(-1)[sel] += (loss - lo) / (hi - lo) / p.reshape(-1)[sel]
+        arms[:, t] = arm
+    return {"arms": arms, "losses": matrix[np.arange(horizon), arms],
+            "final_probs": np.ascontiguousarray(probabilities(horizon + 1).T)}

@@ -297,7 +297,7 @@ def check_exp3_range_control() -> CheckResult:
     stream = two_segment_stream(horizon=100)
     big = environments.affine(stream, 100.0, 0.0)
     try:
-        reference.run_exp3(big, seed=1)
+        reference.run_exp3(big, [1])
     except ValueError:
         rejected = True
     else:

@@ -62,11 +62,11 @@ class TestFixedShareModel:
 
 class TestParseModel:
     def test_fixed(self):
-        assert parse_model("fixed", 4).kind == "identity"
+        assert parse_model("fixed", 4).alpha is None
 
     def test_switching(self):
         model = parse_model("switching:0.25", 4)
-        assert model.kind == "fixed_share" and model.alpha == 0.25
+        assert model.alpha == 0.25
 
     @pytest.mark.parametrize("spec", ["switching:1.5", "switching:abc", "mystery", "switching:"])
     def test_bad_specs(self, spec):
@@ -167,17 +167,6 @@ class TestComplexityBudget:
             complexity_budget(model, 0, 0)
         with pytest.raises(ValueError):
             complexity_budget(model, 5, 5)
-
-
-def test_direct_construction_validation():
-    from scalefree_bandit.competitions import CompetitionModel
-
-    with pytest.raises(ValueError, match="one entry per arm"):
-        CompetitionModel(spec="x", n_arms=2, log_prior=[0.0], kind="identity")
-    with pytest.raises(ValueError, match="sum to 1"):
-        CompetitionModel(spec="x", n_arms=2, log_prior=[0.0, 0.0], kind="identity")
-    with pytest.raises(ValueError, match="kind"):
-        CompetitionModel(spec="x", n_arms=2, log_prior=np.log([0.5, 0.5]), kind="mystery")
 
 
 def test_prior_marginals_uniform_for_shipped_models():

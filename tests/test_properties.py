@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scalefree_bandit import core
 from scalefree_bandit.competitions import (
+    CompetitionModel,
     complexity,
     fixed_share_model,
     switch_count,
@@ -17,6 +19,7 @@ from scalefree_bandit.core import (
     weight_step,
 )
 from scalefree_bandit.environments import affine, scripted
+from scalefree_bandit.harness import simulate_runs
 from scalefree_bandit.reference import replay_core
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -188,3 +191,44 @@ def test_adaptive_statistics_monotone(instance):
         prev_second = st_now.second_moment
         prev_spread = st_now.spread_max
         prev_rate = st_now.rate_prev
+
+
+UNDERFLOW_STREAM = np.vstack([np.zeros((4, 2)), [[0.0, 1.0]] * 6])
+UNDERFLOW_STREAM[3, 1] = 3.1297248454942404e-196
+
+
+@st.composite
+def scaled_stream(draw):
+    """Losses with ties and zeros, scaled by 2^k, k in [-500, 500]."""
+    n_arms = draw(st.integers(min_value=2, max_value=9))
+    horizon = draw(st.integers(min_value=1, max_value=40))
+    cells = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.1297248454942404e-196]), unit),
+                          min_size=n_arms * horizon, max_size=n_arms * horizon))
+    matrix = np.array(cells).reshape(horizon, n_arms) * 2.0 ** draw(st.integers(-500, 500))
+    alpha = draw(st.one_of(st.none(), st.floats(min_value=1e-4, max_value=0.9)))
+    gamma = math.exp(draw(st.floats(min_value=-5.0, max_value=5.0)))
+    return matrix, alpha, gamma, draw(st.integers(min_value=0, max_value=2 ** 31))
+
+
+@given(instance=scaled_stream())
+@example(instance=(UNDERFLOW_STREAM, 0.5, 1.0, 0))
+@settings(max_examples=60, deadline=None)
+def test_power_stays_in_unit_interval(instance):
+    """weight_step does not check the power; every round's must be in (0, 1]."""
+    matrix, alpha, gamma, seed = instance
+    model = CompetitionModel(matrix.shape[1], alpha)
+    powers = []
+
+    def recorded(*args, **kwargs):
+        out = adaptive_step(*args, **kwargs)
+        powers.append(np.asarray(out[5]))
+        return out
+
+    adaptive_step = core.adaptive_step
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "adaptive_step", recorded)
+        replay_core(model, gamma, matrix, seed=seed)
+        simulate_runs(model, gamma, scripted(matrix), seed, 3)
+    assert len(powers) == 2 * matrix.shape[0]
+    for power in powers:
+        assert ((power > 0.0) & (power <= 1.0)).all()

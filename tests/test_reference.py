@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 
 from scalefree_bandit.competitions import fixed_arm_model, fixed_share_model, switch_count
+from scalefree_bandit.core import sample_arm
 from scalefree_bandit.environments import scripted
 from scalefree_bandit.reference import (
     DenseReference,
-    Exp3Baseline,
     best_fixed_arm,
     best_switching_sequence,
     enumerate_best_sequence,
@@ -239,35 +240,58 @@ class TestBestSwitchingSequence:
 
 class TestExp3Baseline:
     def test_uniform_start(self):
-        learner = Exp3Baseline(4, make_generator(0))
-        assert np.allclose(learner.probabilities(), [0.25] * 4, atol=1e-15)
+        # all-zero losses leave every estimate at zero
+        out = run_exp3(scripted(np.zeros((5, 4))), [0])
+        assert np.allclose(out["final_probs"], [[0.25] * 4], atol=1e-15)
 
     def test_concentrates_on_best_arm(self):
         # one arm always loses 0, the rest always lose 1
         horizon, runs = 10_000, 100
         matrix = np.ones((horizon, 3))
         matrix[:, 1] = 0.0
-        stream = scripted(matrix)
-        hits = 0
-        for r in range(runs):
-            out = run_exp3(stream, seed=1000 + r)
-            if out["final_probs"][1] > 0.9:
-                hits += 1
+        out = run_exp3(scripted(matrix), range(1000, 1000 + runs))
+        hits = int(np.count_nonzero(out["final_probs"][:, 1] > 0.9))
         assert hits / runs > 0.9
+
+    @staticmethod
+    def scalar_exp3(matrix, seed):
+        """One Exp3 learner, round by round, with one uniform per draw."""
+        horizon, n_arms = matrix.shape
+        rng = make_generator(seed)
+        cum = np.zeros(n_arms)
+        arms = []
+
+        def probabilities(t):
+            scores = -math.sqrt(math.log(n_arms) / (n_arms * t)) * cum
+            scores -= scores.max()
+            e = np.exp(scores)
+            return e / e.sum()
+
+        for t in range(horizon):
+            p = probabilities(t + 1)
+            arm = sample_arm(p, rng)
+            cum[arm] += float(matrix[t, arm]) / p[arm]
+            arms.append(arm)
+        return np.array(arms), probabilities(horizon + 1)
+
+    @pytest.mark.parametrize("n_arms", [3, 8, 16])
+    def test_batch_matches_scalar_loop(self, n_arms):
+        # from 8 arms on the batched sums must take the one-row pairwise order
+        matrix = make_generator(n_arms).random((300, n_arms))
+        batch = run_exp3(scripted(matrix), [5, 6, 7])
+        for r, seed in enumerate([5, 6, 7]):
+            arms, final = self.scalar_exp3(matrix, seed)
+            assert np.array_equal(batch["arms"][r], arms)
+            assert batch["final_probs"][r].tobytes() == final.tobytes()
 
     def test_rejects_losses_outside_declared_range(self):
         stream = scripted(np.full((5, 2), 100.0))
         with pytest.raises(ValueError, match="declared range"):
-            run_exp3(stream, seed=0)
-
-    def test_update_before_select_rejected(self):
-        learner = Exp3Baseline(2, make_generator(0))
-        with pytest.raises(RuntimeError):
-            learner.update(0.5)
+            run_exp3(stream, [0])
 
     def test_degenerate_declared_range_rejected(self):
         with pytest.raises(ValueError, match="range"):
-            Exp3Baseline(2, make_generator(0), loss_range=(1.0, 1.0))
+            run_exp3(scripted(np.zeros((3, 2))), [0], loss_range=(1.0, 1.0))
 
 
 def test_switching_oracle_rejects_negative_budget():
