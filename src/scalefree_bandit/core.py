@@ -31,6 +31,16 @@ keeps numpy's pairwise order and each run's sum has the bits it has alone.
 Before the first nonzero excess the adaptive rate is undefined (NaN in the
 kernel, None in :class:`AdaptiveState`): the current rate is borrowed (power
 ratio one), and while that is undefined too the update is the identity.
+
+Two range checks guard the recursion: :func:`check_rates` (the rate stays in
+(0, inf)) and :func:`check_mass` (the weight mass stays in (0, inf)). They
+run where the state lives. For one learner the kernel runs them every round,
+rate first, before any state changes. For a batch the kernel runs neither:
+:func:`scalefree_bandit.harness.simulate_runs` runs both once per block of
+rounds and raises the same error no later than the block's end (its docstring
+says why nothing is missed). The batch route also skips the copy of the
+log-weights, which it overwrites, and the masses of the sharing step, which
+the engine never reads.
 """
 
 from __future__ import annotations
@@ -104,6 +114,20 @@ def _where(mask, a, b):
     return a if mask else b
 
 
+def _spread(excess, spread):
+    """``where(excess <= spread, spread, excess)``: a NaN excess propagates.
+
+    A batch takes ``np.maximum(excess, spread)``, one call instead of two.
+    The two differ only on a NaN spread, which follows a NaN excess (so the
+    second moment is NaN already), and in the sign of a zero on a ±0 tie,
+    which ``spread * spread`` and every comparison ignore. One learner keeps
+    the where form, so its snapshots never hold a ``-0.0`` spread.
+    """
+    if isinstance(excess, np.ndarray):
+        return np.maximum(excess, spread)
+    return spread if excess <= spread else excess
+
+
 def _arm_sum(x: np.ndarray):
     """Sum over the arms (axis 0) in the order numpy sums one contiguous row.
 
@@ -117,20 +141,50 @@ def _arm_sum(x: np.ndarray):
     return np.ascontiguousarray(x.T).sum(axis=1)
 
 
-def arm_probabilities(log_w: np.ndarray) -> np.ndarray:
-    """Normalized arm probabilities from log-weights (axis 0).
+def check_rates(rates, denom) -> None:
+    """Raise unless every rate is in (0, inf) or marks the degenerate prefix.
 
-    The only route from stored weights to probabilities, so a restored
+    ``rates`` holds one round's rates (a scalar, or a ``(runs,)`` row) or a
+    block's (``(runs, rounds)``), and ``denom`` is the rate's denominator
+    (second moment + spread^2) after the last of those rounds. A rate may be
+    NaN only while its denominator is 0. One round fails exactly when
+    ``not (denom == 0 or 0 < rate < inf)``.
+    """
+    if isinstance(rates, np.ndarray):
+        last = rates[:, -1] if rates.ndim > np.ndim(denom) else rates
+        bad = (np.count_nonzero((rates <= 0.0) | (rates == math.inf))
+               or np.count_nonzero((last != last) & (denom != 0.0)))
+    else:
+        bad = rates <= 0.0 or rates == math.inf or (rates != rates and denom != 0.0)
+    if bad:
+        raise NumericalDegeneracyError("adaptive rate left (0, inf): extreme losses or gamma")
+
+
+def check_mass(total) -> None:
+    """Raise unless every weight mass (sum of exp(log-weights)) is in (0, inf)."""
+    if not _all((total > 0.0) & (total < math.inf)):
+        raise NumericalDegeneracyError("weight mass vanished or is not finite")
+
+
+def _normalized(log_w: np.ndarray, check: bool) -> np.ndarray:
+    e = np.exp(log_w)
+    total = _arm_sum(e)
+    if check:
+        check_mass(total)
+    e /= total
+    return e
+
+
+def arm_probabilities(log_w: np.ndarray) -> np.ndarray:
+    """Normalized arm probabilities from log-weights (axis 0), mass checked.
+
+    This and the unchecked form of the batch kernel (the same operations)
+    are the only route from stored weights to probabilities, so a restored
     learner has the same probabilities bit for bit. Stored log-weights have
     mass 1, so their exponentials neither overflow nor all underflow; other
     inputs must stay inside exp's range.
     """
-    e = np.exp(log_w)
-    total = _arm_sum(e)
-    if not _all((total > 0.0) & (total < math.inf)):
-        raise NumericalDegeneracyError("weight mass vanished or is not finite")
-    e /= total
-    return e
+    return _normalized(log_w, check=True)
 
 
 def sample_arm(q: np.ndarray, rng: np.random.Generator) -> int:
@@ -140,11 +194,29 @@ def sample_arm(q: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, q.shape[0] - 1)
 
 
+# Up to this many arms a loop over the rows beats one cumsum(axis=0). Measured
+# crossover: about 4 arms at 1 run, 5 at 20 runs, 7 at 200, above 16 at 2000.
+_DRAW_LOOP_ARMS = 5
+
+
 def draw_arms(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     """:func:`sample_arm` per run, ``q`` ``(M, runs)``, ``u`` ``(runs,)``: the count of
-    cumulative probabilities at or below u, capped at M - 1 (the total can round below 1)."""
-    arm = np.add.reduce(np.cumsum(q, axis=0) <= u, axis=0)
-    np.minimum(arm, q.shape[0] - 1, out=arm)
+    cumulative probabilities at or below u, capped at M - 1 (the total can round below 1).
+
+    Up to ``_DRAW_LOOP_ARMS`` arms the rows are accumulated in a loop, with the
+    additions of ``cumsum`` in its order, and counted as they grow. The sums
+    never fall (q >= 0), so counting only the first M - 1 of them is the cap.
+    """
+    n_arms = q.shape[0]
+    if n_arms > _DRAW_LOOP_ARMS:
+        arm = np.add.reduce(np.cumsum(q, axis=0) <= u, axis=0)
+        np.minimum(arm, n_arms - 1, out=arm)
+        return arm
+    c = q[0]
+    arm = (c <= u).astype(np.intp)
+    for i in range(1, n_arms - 1):
+        c = c + q[i]
+        arm += c <= u
     return arm
 
 
@@ -153,7 +225,7 @@ def draw_arms(q: np.ndarray, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def adaptive_step(loss, q_sel, p_sel, min_loss, second_moment, spread_max, rate_prev,
-                  gamma, fixed_rate=None):
+                  gamma, fixed_rate=None, settled=False):
     """Statistics, rate, exponent and power of one round, per run.
 
     The rate is gamma / sqrt(second moment + spread^2), NaN while that sum is
@@ -161,25 +233,42 @@ def adaptive_step(loss, q_sel, p_sel, min_loss, second_moment, spread_max, rate_
     exponent is the previous rate (the current one while the previous is NaN)
     times the excess, 0 while that rate is NaN; the power is the rate ratio, 1
     while the previous rate is NaN. ``fixed_rate`` freezes the rate (power 1).
+    ``settled`` says that no previous rate is NaN, so the degenerate-prefix
+    selections are skipped. One learner's rate is checked here
+    (:func:`check_rates`); a batch's is left to its caller.
+
+    A batch selects with ``fmax(rate_prev, rate)`` and ``fmin(rate /
+    rate_prev, 1)``, which ignore a NaN previous rate. Where the previous
+    rate is defined they equal ``rate_prev`` and the ratio, because the rate
+    never rises (see :func:`weight_step`); they can differ only after a rate
+    that fails the check.
 
     Returns (min_loss, second_moment, spread_max, rate, exponent, power).
     """
     min_loss = _where(loss < min_loss, loss, min_loss)
     excess = (loss - min_loss) / q_sel
     second_moment = second_moment + p_sel * excess * excess
-    spread_max = _where(excess <= spread_max, spread_max, excess)  # a NaN excess propagates
-    if fixed_rate is None:
-        # the sum is non-decreasing, so a NaN rate only ever fills a prefix
-        denom = second_moment + spread_max * spread_max
-        rate = gamma / np.sqrt(_where(denom > 0.0, denom, math.nan))
-        if not _all((denom == 0.0) | ((rate > 0.0) & (rate < math.inf))):
-            raise NumericalDegeneracyError("adaptive rate left (0, inf): extreme losses or gamma")
-        degenerate = rate_prev != rate_prev  # NaN: no excess before this round
-        exponent_rate = _where(degenerate, rate, rate_prev)
-        power = _where(degenerate, 1.0, rate / rate_prev)
-    else:
+    spread_max = _spread(excess, spread_max)
+    if fixed_rate is not None:
         rate = exponent_rate = fixed_rate
         power = 1.0
+    else:
+        # the sum is non-decreasing, so a NaN rate only ever fills a prefix
+        denom = second_moment + spread_max * spread_max
+        if settled:  # denom >= the previous one > 0, or NaN
+            rate = gamma / np.sqrt(denom)
+            exponent_rate, power = rate_prev, rate / rate_prev
+        else:
+            rate = gamma / np.sqrt(_where(denom > 0.0, denom, math.nan))
+            if isinstance(rate_prev, np.ndarray):
+                exponent_rate = np.fmax(rate_prev, rate)
+                power = np.fmin(rate / rate_prev, 1.0)
+            else:
+                degenerate = rate_prev != rate_prev  # NaN: no excess before this round
+                exponent_rate = rate if degenerate else rate_prev
+                power = 1.0 if degenerate else rate / rate_prev
+        if not isinstance(denom, np.ndarray):
+            check_rates(rate, denom)
     exponent = exponent_rate * excess
     exponent = _where(exponent > 0.0, exponent, 0.0)  # 0, not NaN, while the rate is NaN
     return min_loss, second_moment, spread_max, rate, exponent, power
@@ -208,6 +297,11 @@ def weight_step(model: CompetitionModel, log_w: np.ndarray, sel, exponent, power
     entering the sharing step, log mass leaving it); the two masses agree up
     to rounding because the transitions are stochastic.
 
+    One learner's ``(M,)`` log-weights are left as they were, and its mass
+    is checked (:func:`check_mass`). A batch's ``(M, runs)`` log-weights
+    are the engine's own state: they are overwritten, the mass is left to
+    the engine, and the two masses are not formed (None).
+
     ``power`` is in (0, 1] by construction, so it is not checked: the rate's
     denominator (second moment + spread^2) never falls, as its terms never do
     and ``+``, ``*``, ``sqrt`` and ``gamma / x`` are monotone under
@@ -215,39 +309,44 @@ def weight_step(model: CompetitionModel, log_w: np.ndarray, sel, exponent, power
     :func:`adaptive_step` (finite, positive denominators) keeps it above
     1e-316. :meth:`ScaleFreeBandit.restore` rejects unreachable statistics.
     """
-    log_z = log_w.copy()
+    batch = log_w.ndim == 2
+    log_z = log_w if batch else log_w.copy()
     log_z.reshape(-1)[sel] -= exponent
     log_z *= power
     top = log_z.max(axis=0)
     log_z -= top
     z = np.exp(log_z)
     total = _arm_sum(z)
-    log_total = np.log(total)
-    log_in = top + log_total
     if model.alpha is None:
+        log_total = np.log(total)
         log_next = log_z - log_total
-        log_out = log_in
     else:
         w = fixed_share(z, total, model.alpha)
         total_out = _arm_sum(w)
         log_next = np.log(w / total_out)
-        log_out = top + np.log(total_out)
-    return log_next, arm_probabilities(log_next), log_in, log_out
+    p = _normalized(log_next, check=not batch)
+    if batch:
+        return log_next, p, None, None
+    if model.alpha is None:
+        log_in = log_out = top + log_total
+    else:
+        log_in, log_out = top + np.log(total), top + np.log(total_out)
+    return log_next, p, log_in, log_out
 
 
 def round_step(model: CompetitionModel, log_w: np.ndarray, p: np.ndarray, q: np.ndarray,
-               sel, loss, stats: tuple, gamma, fixed_rate=None):
+               sel, loss, stats: tuple, gamma, fixed_rate=None, settled=False):
     """One round after the selection: adaptive step, then weight step.
 
     ``log_w``, ``p``, ``q`` are arm-major, ``(M,)`` for one learner or
-    ``(M, runs)`` for a batch. ``sel`` is the flat index of the selected arm
-    in them: ``arm``, or ``arm * runs + run`` per run. ``loss`` and
-    ``stats`` (running minimum, second moment, spread, previous rate) are
-    scalars or ``(runs,)`` rows. Returns the next (log_w, p, stats,
-    (log_in, log_out)).
+    ``(M, runs)`` for a batch, whose ``log_w`` is overwritten. ``sel`` is
+    the flat index of the selected arm in them: ``arm``, or ``arm * runs +
+    run`` per run. ``loss`` and ``stats`` (running minimum, second moment,
+    spread, previous rate) are scalars or ``(runs,)`` rows. Returns the next
+    (log_w, p, stats, (log_in, log_out)).
     """
     min_loss, second, spread, rate, exponent, power = adaptive_step(
-        loss, q.reshape(-1)[sel], p.reshape(-1)[sel], *stats, gamma, fixed_rate)
+        loss, q.reshape(-1)[sel], p.reshape(-1)[sel], *stats, gamma, fixed_rate, settled)
     log_w, p, log_in, log_out = weight_step(model, log_w, sel, exponent, power)
     return log_w, p, (min_loss, second, spread, rate), (log_in, log_out)
 
@@ -285,7 +384,7 @@ class ScaleFreeBandit:
             raise ValueError(f"fixed_rate must be finite and >= 0, got {fixed_rate}")
         self._model = model
         self._n_arms = model.n_arms
-        self._fixed_rate = fixed_rate
+        self._fixed_rate = None if fixed_rate is None else float(fixed_rate)  # JSON in snapshots
         self._log_w = model.log_prior.copy()
         self._p = arm_probabilities(self._log_w)
         self._stats = AdaptiveState(
@@ -437,6 +536,9 @@ class ScaleFreeBandit:
                 raise ValueError(f"snapshot rate_prev {rate_prev!r} is not gamma / "
                                  f"sqrt(second_moment + spread_max**2) = {rate!r}")
         state._log_w = np.array(snap["log_weights"], dtype=np.float64)
+        if state._log_w.shape != (state._n_arms,):
+            raise ValueError(f"snapshot log_weights must hold {state._n_arms} numbers, "
+                             f"got shape {state._log_w.shape}")
         state._p = arm_probabilities(state._log_w)
         state._stats = replace(
             state._stats, round=int(snap["round"]), second_moment=second, spread_max=spread,

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 import os
 import shutil
 import signal
@@ -45,8 +46,8 @@ import numpy as np
 
 from . import environments, reference
 from .competitions import CompetitionModel, complexity, default_gamma, parse_model
-from .core import (arm_probabilities, draw_arms, mixture_coefficient, round_step,
-                   selection_probabilities)
+from .core import (NumericalDegeneracyError, arm_probabilities, check_rates, draw_arms,
+                   mixture_coefficient, round_step, selection_probabilities)
 from .environments import LossStream
 from .rng import run_generator
 
@@ -219,6 +220,24 @@ def _running_minimum(losses: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _mapped(shape: tuple, dtype) -> np.ndarray:
+    """A zeroed array in its own anonymous memory map, outside the malloc heap.
+
+    glibc serves a large block from the heap once an earlier one has been
+    freed (its mmap threshold rises). A record there sometimes finds no
+    free hole, the heap grows and stays grown, and sweeps repeated in one
+    process read a bimodal peak RSS. A mapping goes back to the system with
+    its array. An empty shape still maps one byte, as mmap needs.
+    """
+    count = math.prod(shape)
+    nbytes = count * np.dtype(dtype).itemsize
+    try:
+        buf = mmap.mmap(-1, max(nbytes, 1))
+    except (OverflowError, OSError) as exc:
+        raise MemoryError(f"cannot allocate {nbytes} bytes: {exc}") from None
+    return np.frombuffer(buf, dtype, count).reshape(shape)
+
+
 @dataclass
 class SimulationRecord:
     """Per-round, per-run trajectories of a Monte Carlo sweep.
@@ -227,7 +246,8 @@ class SimulationRecord:
     int16 arms). The incurred losses and the running minimum follow from
     the arms and the loss stream, and are computed on access, a run at a
     time: one gather of the whole record would first cast the arms to a
-    ``(runs, T)`` index array.
+    ``(runs, T)`` index array. Every ``(runs, T)`` array is mapped outside
+    the heap (:func:`_mapped`).
     """
 
     arms: np.ndarray       # (runs, T) selected arm per round
@@ -245,7 +265,7 @@ class SimulationRecord:
     @property
     def losses(self) -> np.ndarray:
         """(runs, T) incurred loss."""
-        out = np.empty(self.arms.shape)
+        out = _mapped(self.arms.shape, np.float64)
         for r, losses in self._loss_rows(range(len(out))):
             out[r] = losses
         return out
@@ -253,7 +273,7 @@ class SimulationRecord:
     @property
     def psi(self) -> np.ndarray:
         """(runs, T) running minimum after the round."""
-        out = np.empty(self.arms.shape)
+        out = _mapped(self.arms.shape, np.float64)
         for r, losses in self._loss_rows(range(len(out))):
             out[r] = _running_minimum(losses)
         return out
@@ -280,20 +300,45 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
     is a ``(runs,)`` row. The arms are drawn by
     :func:`~scalefree_bandit.core.draw_arms`, one uniform per run.
 
-    Beside the record and the state, the engine holds one block of
-    uniforms, at most ``_BLOCK_ROUNDS`` rounds by ``runs``: each
-    run's generator refills its column every block, and successive Philox
-    draws continue one stream, so the doubles are those of a single
-    ``random(T)`` call. The rate is written as computed, and the NaN of the
-    degenerate prefix becomes ``inf`` once per block, on that block's
-    columns.
+    The rounds go in blocks of ``_BLOCK_ROUNDS``. Beside the record (mapped
+    outside the heap) and the state, the engine holds one block of
+    uniforms, a block by ``runs``: each run's generator refills its column
+    every block, and successive Philox draws continue one stream, so the
+    doubles are those of a single ``random(T)`` call. The rate is written as
+    computed, and the NaN of the degenerate prefix becomes ``inf`` once per
+    block, on that block's columns. A block that starts with no run in the
+    degenerate prefix tells the kernel so (``settled``), which skips the
+    prefix's selections.
+
+    The kernel's range checks run once per block, not per round: on the
+    block's rates and on the state after its last round
+    (:func:`~scalefree_bandit.core.check_rates`, and the mass check of
+    :func:`~scalefree_bandit.core.arm_probabilities`). A round that fails
+    either check is still seen there, because what it leaves behind lasts:
+
+    - A rate that is neither NaN nor in (0, inf) stays in the block's rates.
+    - A NaN rate beside a nonzero denominator comes from a NaN gamma, or
+      from a NaN denominator, which means a NaN second moment: a NaN spread
+      comes only from a NaN excess, and that makes the second moment NaN in
+      the same round. The second moment only ever adds to itself, so it
+      stays NaN, and the last round's rate is NaN beside a NaN denominator.
+    - Up to the first failure the kernel hands on normalized log-weights:
+      their largest entry was 0 before the shift by the log of a sum in
+      [1, M], so their mass is about 1 unless one of them is NaN. A NaN
+      log-weight makes the next round's maximum NaN, so all of the run's
+      log-weights stay NaN.
+
+    A block that fails is played again from its saved start with both
+    checks after every round, rate first, as one learner runs them, so the
+    error raised is the first failing check in round order, no later than
+    the block's end. The record is dropped with it.
     """
     n_arms = model.n_arms
     matrix = stream.matrix
     horizon = stream.horizon
     # the record first: a size that cannot fit fails before any work
-    arms = np.empty((runs, horizon), dtype=_arm_dtype(n_arms))
-    eta = np.empty((runs, horizon))
+    arms = _mapped((runs, horizon), _arm_dtype(n_arms))
+    eta = _mapped((runs, horizon), np.float64)
     eps_hist = np.empty(horizon)
 
     block = min(_BLOCK_ROUNDS, horizon)
@@ -301,36 +346,54 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
     generators = (run_generator(base_seed, r) for r in range(runs))
     if horizon > block:
         generators = list(generators)  # kept for the refills; a single block needs none
+    rows = np.arange(runs)
+
+    def check(rates, log_w, stats):
+        check_rates(rates, stats[1] + stats[2] * stats[2])
+        arm_probabilities(log_w)  # raises on a bad weight mass
+
+    def play(lo, hi, log_w, p, stats, checked):
+        """Rounds lo..hi-1 from the given state (whose log_w they overwrite)."""
+        settled = not np.isnan(stats[3]).any()
+        for t in range(lo, hi):
+            eps = mixture_coefficient(t + 1, n_arms)
+            q = selection_probabilities(p, eps)
+            arm = draw_arms(q, uniforms[t - lo])
+            log_w, p, stats, _ = round_step(model, log_w, p, q, arm * runs + rows,
+                                            matrix[t, arm], stats, gamma, settled=settled)
+            arms[:, t] = arm
+            eta[:, t] = stats[3]
+            eps_hist[t] = eps
+            if checked:
+                check(stats[3], log_w, stats)
+        return log_w, p, stats
+
     log_w = np.repeat(model.log_prior[:, None], runs, axis=1)
-    p = arm_probabilities(log_w)
-    stats = (
+    state = (log_w, arm_probabilities(log_w), (
         np.full(runs, np.inf),  # running minimum
         np.zeros(runs),  # second moment
         np.zeros(runs),  # spread
         np.full(runs, np.nan),  # previous rate, NaN while degenerate
-    )
-    rows = np.arange(runs)
+    ))
+    for lo in range(0, horizon, block):
+        hi = min(lo + block, horizon)
+        for r, gen in enumerate(generators):
+            uniforms[:hi - lo, r] = gen.random(hi - lo)
+        start = (state[0].copy(),) + state[1:]
+        with np.errstate(all="ignore"):  # past a failure; the replay warns as the caller asks
+            state = play(lo, hi, *state, checked=False)
+        slab = eta[:, lo:hi]
+        failure = None
+        try:
+            check(slab, state[0], state[2])
+        except NumericalDegeneracyError as exc:
+            failure = exc
+        if failure is not None:
+            play(lo, hi, *start, checked=True)  # raises the first failing check
+            raise failure
+        np.copyto(slab, np.inf, where=np.isnan(slab))  # the degenerate prefix
 
-    for t in range(horizon):
-        offset = t % block
-        if offset == 0:
-            n = min(block, horizon - t)
-            for r, gen in enumerate(generators):
-                uniforms[:n, r] = gen.random(n)
-        eps = mixture_coefficient(t + 1, n_arms)
-        q = selection_probabilities(p, eps)
-        arm = draw_arms(q, uniforms[offset])
-        log_w, p, stats, _ = round_step(model, log_w, p, q, arm * runs + rows, matrix[t, arm],
-                                        stats, gamma)
-
-        arms[:, t] = arm
-        eta[:, t] = stats[3]
-        eps_hist[t] = eps
-        if offset == block - 1 or t == horizon - 1:
-            slab = eta[:, t - offset:t + 1]
-            np.copyto(slab, np.inf, where=np.isnan(slab))  # the degenerate prefix
-
-    return SimulationRecord(arms, eta, eps_hist, np.ascontiguousarray(p.T), matrix)
+    return SimulationRecord(arms, eta, eps_hist, np.ascontiguousarray(state[1].T), matrix)
 
 
 # ---------------------------------------------------------------------------

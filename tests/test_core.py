@@ -144,6 +144,90 @@ class TestSampleArm:
         assert np.abs(counts - n / m).max() <= 3 * sigma
 
 
+class TestDrawArms:
+    @staticmethod
+    def cumsum_form(q, u):
+        arm = np.add.reduce(np.cumsum(q, axis=0) <= u, axis=0)
+        return np.minimum(arm, q.shape[0] - 1)
+
+    @pytest.mark.parametrize("runs", [1, 7, 200])
+    def test_equals_the_cumsum_form(self, runs):
+        # the row loop (up to core._DRAW_LOOP_ARMS arms) and the cumsum both
+        # count cumulative sums at or below u, capped at M - 1
+        rng = np.random.default_rng(runs)
+        for n_arms in range(2, 18):
+            for scale in (1.0, 0.75):  # columns summing to 1, and below 1
+                q = rng.dirichlet(np.ones(n_arms), size=runs).T * scale
+                q[:, ::3] = np.round(q[:, ::3], 2)  # ties between cumulative sums
+                cum = np.cumsum(q, axis=0)
+                for u in (rng.random(runs),
+                          cum[rng.integers(0, n_arms, runs), np.arange(runs)],  # u on a sum
+                          np.full(runs, 0.0), np.full(runs, 1.0 - 2 ** -53)):
+                    got, want = core.draw_arms(q, u), self.cumsum_form(q, u)
+                    assert got.dtype == np.intp
+                    assert np.array_equal(got, want), (n_arms, runs, scale)
+
+
+class TestBatchSelections:
+    """The batch forms that replace the where calls, on the values they can meet."""
+
+    LENGTHS = range(1, 70)
+
+    @staticmethod
+    def cycled(pairs, n, shift):
+        # every pair at every SIMD lane position: numpy's loops change with the length
+        idx = (np.arange(n) + shift) % len(pairs)
+        a, b = np.array(pairs).T
+        return a[idx], b[idx]
+
+    def test_spread_maximum(self):
+        # excess: +-0 (a loss of -0.0 against a minimum of +0.0 gives -0.0),
+        # positive, inf or NaN; spread: the running maximum, never NaN here
+        pairs = [(x, d) for x in (0.0, -0.0, 0.5, 2.0, math.inf, math.nan)
+                 for d in (0.0, -0.0, 0.5, 2.0, math.inf)]
+        for n in self.LENGTHS:
+            for shift in range(len(pairs)):
+                excess, spread = self.cycled(pairs, n, shift)
+                want = np.where(excess <= spread, spread, excess)
+                got = core._spread(excess, spread)
+                # equal values, NaN where the where form has NaN; a zero's
+                # sign may differ, which the square and comparisons ignore
+                assert np.array_equal(got, want, equal_nan=True)
+                assert (got * got).tobytes() == (want * want).tobytes()
+        # the learner's plain route keeps the where form, sign of zero included
+        assert math.copysign(1.0, core._spread(-0.0, 0.0)) == 1.0
+        assert math.isnan(core._spread(math.nan, 1.0))
+
+    def test_degenerate_prefix_selections(self):
+        # a previous rate is NaN (degenerate) or positive, and then the rate is
+        # at most it (the rate never rises); a NaN previous rate allows any rate
+        pairs = [(math.nan, r) for r in (math.nan, 5e-324, 0.5, 1.0, 3.0)]
+        pairs += [(prev, r) for prev in (5e-324, 0.5, 1.0, 3.0)
+                  for r in (5e-324, 0.25, 0.5, 1.0, 3.0) if r <= prev]
+        for n in self.LENGTHS:
+            for shift in range(len(pairs)):
+                rate_prev, rate = self.cycled(pairs, n, shift)
+                degenerate = np.isnan(rate_prev)
+                assert (np.fmax(rate_prev, rate).tobytes()
+                        == np.where(degenerate, rate, rate_prev).tobytes())
+                assert (np.fmin(rate / rate_prev, 1.0).tobytes()
+                        == np.where(degenerate, 1.0, rate / rate_prev).tobytes())
+
+    @pytest.mark.parametrize("runs", [1, 5, 69])
+    def test_settled_step_equals_the_general_one(self, runs):
+        rng = np.random.default_rng(runs)
+        q_sel, p_sel = rng.uniform(0.05, 1.0, (2, runs))
+        loss = rng.choice([-0.0, 0.0, 0.5, 1.5], runs)
+        second, spread = rng.uniform(0.5, 2.0, (2, runs))
+        min_loss = rng.choice([-0.0, 0.0, 0.25], runs)
+        rate_prev = 1.3 / np.sqrt(second + spread * spread)
+        args = (loss, q_sel, p_sel, min_loss, second, spread, rate_prev, 1.3)
+        general = core.adaptive_step(*args)
+        settled = core.adaptive_step(*args, settled=True)
+        for a, b in zip(general, settled):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 class TestPerformanceMeasure:
     # the excess is read from the spread, which starts at 0
     def test_excess_over_running_minimum(self):
@@ -431,6 +515,23 @@ class TestSnapshot:
         snap[field] = value
         with pytest.raises(ValueError, match=field):
             ScaleFreeBandit.restore(snap)
+
+    @pytest.mark.parametrize("n_entries", [2, 4])
+    def test_log_weights_of_the_wrong_length_rejected(self, n_entries):
+        state = ScaleFreeBandit(fixed_share_model(3, 0.2), gamma=1.0, seed=4)
+        self.play(state, {0: 1.0, 1: 2.0, 2: 0.0}, 6)
+        snap = json.loads(json.dumps(state.snapshot(), allow_nan=False))
+        snap["log_weights"] = (snap["log_weights"] * 2)[:n_entries]
+        with pytest.raises(ValueError, match="log_weights"):
+            ScaleFreeBandit.restore(snap)
+
+    def test_numpy_fixed_rate_snapshots_as_a_plain_number(self):
+        snaps = []
+        for rate in (np.float32(0.5), 0.5):
+            state = ScaleFreeBandit(fixed_arm_model(2), gamma=None, seed=0, fixed_rate=rate)
+            self.play(state, {0: 1.0, 1: 0.0}, 4)
+            snaps.append(json.dumps(state.snapshot(), allow_nan=False))
+        assert snaps[0] == snaps[1]
 
     def test_rate_of_a_fixed_rate_learner_is_not_rederived(self):
         state = ScaleFreeBandit(fixed_arm_model(2), gamma=None, seed=0, fixed_rate=0.5)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import mmap
 import os
 import shutil
 import tracemalloc
@@ -276,6 +277,71 @@ class TestEngineEquivalence:
             run_experiment(cfg)
 
 
+def first_sequential_error(model, gamma, stream, base_seed, runs):
+    """(round, message) of the first range error of one learner per run, in round order."""
+    first = None
+    for r in range(runs):
+        state = core.ScaleFreeBandit(model, gamma, rng=run_generator(base_seed, r))
+        for t in range(stream.horizon):
+            try:
+                state.play_round(lambda arm: stream.loss(t, arm))
+            except NumericalDegeneracyError as exc:
+                key = (t, "mass" in str(exc), str(exc))  # rate is checked before mass
+                first = key if first is None else min(first, key)
+                break
+    return None if first is None else (first[0], first[2])
+
+
+class TestEngineRangeChecks:
+    """The engine checks once per block, and raises what the learners raise first."""
+
+    # a round at a block's start, in its middle, at its end, and in a final partial block
+    BAD_ROUNDS = [harness._BLOCK_ROUNDS, 300, 2 * harness._BLOCK_ROUNDS - 1,
+                  2 * harness._BLOCK_ROUNDS + 8]
+
+    @staticmethod
+    def assert_raises_first_error(model, gamma, matrix, bad_round, message):
+        stream = scripted(matrix)
+        with np.errstate(all="ignore"):
+            assert first_sequential_error(model, gamma, stream, 3, 4) == (bad_round, message)
+            with pytest.raises(NumericalDegeneracyError) as info:
+                simulate_runs(model, gamma, stream, base_seed=3, runs=4)
+            assert str(info.value) == message
+            # the rounds before the bad one pass, whatever block they end in
+            simulate_runs(model, gamma, scripted(matrix[:bad_round]), base_seed=3, runs=4)
+
+    @pytest.mark.parametrize("bad_round", BAD_ROUNDS)
+    def test_rate_error(self, bad_round):
+        # every squared excess overflows at the bad round: the rate falls to 0
+        matrix = np.tile([0.2, 0.7, 0.7], (2 * harness._BLOCK_ROUNDS + 20, 1))
+        matrix[bad_round] = 1e300
+        self.assert_raises_first_error(fixed_share_model(3, 0.01), 1.0, matrix, bad_round,
+                                       "adaptive rate left (0, inf): extreme losses or gamma")
+
+    @pytest.mark.parametrize("bad_round", BAD_ROUNDS)
+    def test_mass_error_before_the_rate_error_it_causes(self, bad_round):
+        # gamma 1e300 sends the selected arm's log-weight to -inf at the
+        # round before the bad one; a run that then selects the other arm
+        # loses all its mass (NaN log-weights, so a NaN rate next round)
+        matrix = np.tile([0.2, 0.7], (2 * harness._BLOCK_ROUNDS + 20, 1))
+        matrix[bad_round - 1] = 1e12
+        matrix[bad_round] = 1e40
+        self.assert_raises_first_error(fixed_arm_model(2), 1e300, matrix, bad_round,
+                                       "weight mass vanished or is not finite")
+
+    @pytest.mark.parametrize("bad_round", BAD_ROUNDS)
+    def test_nan_rate_with_a_nonzero_denominator(self, bad_round):
+        # a NaN gamma leaves the rate NaN, which passes only while the
+        # denominator is 0: zero losses keep it 0 until the bad round
+        matrix = np.zeros((bad_round + 1, 2))
+        matrix[bad_round] = [1.0, 2.0]
+        model = fixed_arm_model(2)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalDegeneracyError, match="rate"):
+                simulate_runs(model, math.nan, scripted(matrix), base_seed=3, runs=4)
+            simulate_runs(model, math.nan, scripted(matrix[:bad_round]), base_seed=3, runs=4)
+
+
 class TestRunExperiment:
     def zero_config(self, tmp_path, runs=1):
         stream = scripted(np.zeros((6, 2)))
@@ -402,28 +468,31 @@ class TestRunExperiment:
             assert got.tobytes() == want.tobytes()
 
     @staticmethod
-    def traced_peak_and_record_bytes(cfg):
+    def traced_peak(cfg):
+        # the record's (runs, T) arrays are mapped outside the heap, where
+        # tracemalloc does not see them; everything else counts
         tracemalloc.start()
         try:
             report = run_experiment(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        rec = report.record
-        arrays = (rec.arms, rec.eta, rec.eps, rec.final_probs)  # stored, not derived
-        return peak, sum(a.nbytes for a in arrays)
+        for array in (report.record.arms, report.record.eta):
+            while isinstance(array, np.ndarray):
+                array = array.base
+            assert isinstance(array.obj, mmap.mmap)  # np.frombuffer holds a memoryview
+        return peak
 
     def test_peak_memory_without_run_temporaries(self):
-        # the engine and the aggregation may hold the record plus (runs, T)
-        # float64 at most: no full draw matrix beside it, no regret matrix
+        # beside the mapped record, the engine and the aggregation may hold
+        # (runs, T) float64 at most: no full draw matrix, no regret matrix
         cfg = ExperimentConfig(
             M=4, T=2000, runs=200, seed=5, gamma="auto", model="switching:0.001",
             env="piecewise", env_seed=2, noise_width=0.2,
             segments="1000@0.25|0.75|0.75|0.75;1000@0.75|0.25|0.75|0.75",
             competition="switching:1",
         )
-        peak, record_bytes = self.traced_peak_and_record_bytes(cfg)
-        assert peak < record_bytes + cfg.runs * cfg.T * 8
+        assert self.traced_peak(cfg) < cfg.runs * cfg.T * 8
 
     def test_peak_memory_of_many_short_runs(self):
         # below one block of rounds the draw buffer is (T, runs) and no run
@@ -434,8 +503,7 @@ class TestRunExperiment:
             env="piecewise", env_seed=2, noise_width=0.2, segments="1@0.25|0.75;1@0.75|0.25",
             competition="switching:1",
         )
-        peak, record_bytes = self.traced_peak_and_record_bytes(cfg)
-        assert peak < record_bytes + cfg.runs * cfg.T * 8 + 32 * cfg.runs * cfg.M * 8
+        assert self.traced_peak(cfg) < cfg.runs * cfg.T * 8 + 32 * cfg.runs * cfg.M * 8
 
     def test_record_stores_no_other_run_round_array(self):
         # 10 bytes per run-round: the int16 arms and the float64 rates;
@@ -746,6 +814,16 @@ class TestCli:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "allocate" in captured.err
         assert "bound=" not in captured.out
+
+    def test_memory_error_past_the_size_range(self, capsys, config_file):
+        # 10^17 runs x 200 rounds of int16 arms is more than 2^63 bytes,
+        # which no mapping can even be asked for
+        code = cli.main(["run", "--config", str(config_file),
+                         "--override", "runs=100000000000000000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "allocate" in captured.err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
