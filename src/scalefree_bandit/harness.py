@@ -522,6 +522,17 @@ def run_experiment(cfg: ExperimentConfig, engine=simulate_runs) -> RegretReport:
     return report
 
 
+@contextlib.contextmanager
+def _removed_on_failure(path):
+    """Remove `path` when the block raises, then re-raise."""
+    try:
+        yield
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -533,34 +544,68 @@ def _part_path(path, chunk: int) -> str:
     return f"{path}.{chunk}.part"
 
 
-def _write_run_rows(fh, record: SimulationRecord, comp_path: np.ndarray,
-                    comp_losses: np.ndarray, runs: range) -> None:
+def _shared_fields(record: SimulationRecord, comp_path: np.ndarray,
+                   comp_losses: np.ndarray) -> list[str]:
+    """The fields that every run writes alike, formatted once: one string per block of rounds.
+
+    Round t contributes ``,{comp_arm},{comp_loss},`` and ``,{epsilon},``,
+    each ended by ``\\n``, which no formatted field contains. A block's
+    string is split back into its pieces where it is used. This is about 50
+    bytes per round, where a ``str`` object per piece would take about 150.
+    """
+    horizon = record.arms.shape[1]
+    blocks = []
+    for lo in range(0, horizon, _BLOCK_ROUNDS):
+        hi = min(lo + _BLOCK_ROUNDS, horizon)
+        blocks.append("".join(
+            f",{cm},{cl!r},\n,{ep!r},\n" for cm, cl, ep in zip(
+                (comp_path[lo:hi] + 1).tolist(), comp_losses[lo:hi].tolist(),
+                record.eps[lo:hi].tolist())
+        ))
+    return blocks
+
+
+def _write_run_rows(fh, record: SimulationRecord, comp_losses: np.ndarray,
+                    shared: list[str], runs: range) -> None:
     """Write the rows of `runs` to the binary file `fh`, a block of rounds at a time.
 
     Rows are what ``csv.writer`` made of them: fields joined by ``,``, floats
-    as ``repr``, each row ended by ``\\r\\n``.
+    as ``repr``, each row ended by ``\\r\\n``. The fields of every run come
+    from `shared` (:func:`_shared_fields`). ``psi`` changes only in a round
+    whose loss sets it (:func:`_running_minimum`: a new minimum, or the
+    run's first zero), so its text is that round's loss text, carried
+    forward. Each block's rows are joined and encoded once.
     """
     horizon = record.arms.shape[1]
     for r, losses, cum, regret in _regret_rows(record, np.cumsum(comp_losses), runs):
-        psi = _running_minimum(losses)
-        for lo in range(0, horizon, _BLOCK_ROUNDS):
+        bits = _running_minimum(losses).view(np.int64)
+        sets_psi = np.empty(horizon, dtype=bool)
+        sets_psi[0] = True
+        np.not_equal(bits[1:], bits[:-1], out=sets_psi[1:])
+        psi_text = None  # the text of the running minimum before the block
+        for b, lo in enumerate(range(0, horizon, _BLOCK_ROUNDS)):
             hi = min(lo + _BLOCK_ROUNDS, horizon)
+            pieces = shared[b].split("\n")
+            loss_texts = list(map(repr, losses[lo:hi].tolist()))
+            # index into [psi_text, *loss_texts] of the round that set each round's psi
+            source = np.maximum.accumulate(np.where(sets_psi[lo:hi], np.arange(1, hi - lo + 1), 0))
+            psi_texts = np.array([psi_text, *loss_texts], dtype=object)[source].tolist()
+            psi_text = psi_texts[-1]
             block = zip(
                 range(lo, hi),
                 np.add(record.arms[r, lo:hi], 1, dtype=np.intp).tolist(),
-                losses[lo:hi].tolist(),
+                loss_texts,
                 cum[lo:hi].tolist(),
-                (comp_path[lo:hi] + 1).tolist(),
-                comp_losses[lo:hi].tolist(),
+                pieces[0::2],
                 regret[lo:hi].tolist(),
                 record.eta[r, lo:hi].tolist(),
-                record.eps[lo:hi].tolist(),
-                psi[lo:hi].tolist(),
+                pieces[1::2],
+                psi_texts,
             )
-            fh.writelines(
-                f"{r},{t},{arm},{loss!r},{c!r},{cm},{cl!r},{g!r},{e!r},{ep!r},{ps!r}\r\n".encode()
-                for t, arm, loss, c, cm, cl, g, e, ep, ps in block
-            )
+            fh.write("".join([
+                f"{r},{t},{arm},{loss},{c!r}{comp}{g!r},{e!r}{ep}{ps}\r\n"
+                for t, arm, loss, c, comp, g, e, ep, ps in block
+            ]).encode())
 
 
 def _fork_writer(part: str, *args) -> int:
@@ -600,12 +645,12 @@ def write_runs_csv(path, record: SimulationRecord, comp_path: np.ndarray,
     n_chunks = min(runs, _usable_cpus()) or 1
     cuts = [runs * i // n_chunks for i in range(n_chunks + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    args = (record, comp_path, comp_losses)
+    args = (record, comp_losses, _shared_fields(record, comp_path, comp_losses))
     forking = n_chunks > 1 and hasattr(os, "fork") and threading.active_count() == 1
     fh = open(path, "wb")  # an unwritable path fails before any fork
     pids, parts = [], []
     try:
-        with fh:
+        with _removed_on_failure(path), fh:
             if forking:
                 for i in range(1, n_chunks):
                     parts.append(_part_path(path, i))
@@ -622,10 +667,6 @@ def write_runs_csv(path, record: SimulationRecord, comp_path: np.ndarray,
                 with open(part, "rb") as src:
                     shutil.copyfileobj(src, fh)
                 os.remove(parts.pop(0))
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(path)
-        raise
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -636,8 +677,10 @@ def write_runs_csv(path, record: SimulationRecord, comp_path: np.ndarray,
 
 
 def write_summary_csv(path, report: RegretReport) -> None:
+    """One row per count of completed rounds, from 0; a failure after `path` opens removes it."""
     horizon = report.mean_regret.shape[0]
-    with open(path, "w", newline="") as fh:
+    fh = open(path, "w", newline="")
+    with _removed_on_failure(path), fh:
         fh.write(SUMMARY_HEADER + "\n")
         fh.write("0,0.0,0.0,0.0\r\n")
         for lo in range(0, horizon, _BLOCK_ROUNDS):

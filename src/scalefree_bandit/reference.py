@@ -70,7 +70,7 @@ class DenseReference:
         return [w / total for w in self.weights]
 
     def step(self, arm: int, loss: float) -> dict:
-        """One scripted round; returns the round's observable quantities."""
+        """One scripted round; returns its probabilities ``p`` and its masses ``conservation``."""
         p = self.probabilities()
         eps = mixture_coefficient(self.t, self.n_arms)
         q = [(1.0 - eps) * pm + eps / self.n_arms for pm in p]
@@ -115,16 +115,7 @@ class DenseReference:
         if self.fixed_rate is None:
             self.rate_prev = rate
         self.t += 1
-        return {
-            "p": p,
-            "q": q,
-            "eps": eps,
-            "excess": excess,
-            "min_loss": self.min_loss,
-            "rate": rate,
-            "power": power,
-            "conservation": self.last_conservation,
-        }
+        return {"p": p, "conservation": self.last_conservation}
 
 
 def run_dense(model: CompetitionModel, gamma: float | None, losses: np.ndarray,

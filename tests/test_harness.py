@@ -742,6 +742,122 @@ class TestCsvWriters:
                                  repr(float(report.bound_curve[t]))])
         assert (tmp_path / "s_summary.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_summary_failure_leaves_no_partial_file(self, tmp_path):
+        # formatting fails in the second block of rounds, after the first was written
+        cfg = ExperimentConfig(
+            M=2, T=2 * harness._BLOCK_ROUNDS, runs=2, seed=2, gamma=1.0, model="fixed",
+            env="piecewise", env_seed=3, noise_width=0.3,
+            segments=f"{2 * harness._BLOCK_ROUNDS}@0.1|0.6",
+        )
+        report = run_experiment(cfg)
+
+        class Unprintable:
+            def __repr__(self):
+                raise RuntimeError("cannot format")
+
+        stderr = report.stderr_regret.astype(object)
+        stderr[harness._BLOCK_ROUNDS + 10] = Unprintable()
+        path = tmp_path / "s_summary.csv"
+        with pytest.raises(RuntimeError, match="cannot format"):
+            harness.write_summary_csv(path, replace(report, stderr_regret=stderr))
+        assert not path.exists()
+
+    # Records built by hand: every run plays its row of `arms` on `matrix`.
+    # Each case runs with 1, 2 and 3 writing processes, one per run.
+
+    @staticmethod
+    def record_of(matrix, arms, eps):
+        matrix = np.array(matrix, dtype=np.float64)
+        matrix.setflags(write=False)
+        arms = np.array(arms, dtype=np.int16)
+        eta = np.random.default_rng(8).random(arms.shape) * 3.0
+        eta[:, :5] = np.inf  # the degenerate prefix
+        return SimulationRecord(arms, eta, np.array(eps, dtype=np.float64),
+                                np.zeros((len(arms), matrix.shape[1])), matrix)
+
+    @staticmethod
+    def rows_of(path, run) -> list[bytes]:
+        return [row for row in path.read_bytes().splitlines() if row.startswith(b"%d," % run)]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_psi_keeps_the_sign_of_its_first_zero(self, tmp_path, monkeypatch, forks, cpus):
+        # arm 0 has -0.0 and then +0.0, arm 1 the reverse, at rounds 100-101 (in
+        # a block) and 255-256 (across a block edge); arm 2 has no zero. Every
+        # other loss sets a new minimum.
+        edge = harness._BLOCK_ROUNDS
+        horizon = 2 * edge + 40
+        matrix = np.empty((horizon, 3))
+        matrix[:] = np.linspace(2.0, 1.0, horizon)[:, None]
+        for first in (100, edge - 1):
+            matrix[first, 0] = matrix[first + 1, 1] = -0.0
+            matrix[first + 1, 0] = matrix[first, 1] = 0.0
+        # runs 0 and 1 meet their first zero at 100 (psi's text is then carried
+        # over two block edges), runs 2 and 3 at 255 (carried over one)
+        arms = np.array([[0], [1], [2], [2]], dtype=np.int16).repeat(horizon, axis=1)
+        arms[2:, edge - 1:] = [[0], [1]]
+        record = self.record_of(matrix, arms, np.full(horizon, 0.25))
+        comp_path = np.full(horizon, 2, dtype=np.intp)
+        self.assert_same_bytes(tmp_path, monkeypatch, record, comp_path, matrix[:, 2], cpus=cpus)
+        assert len(forks) == cpus - 1
+        for run, first, text in ((0, 100, b",-0.0"), (1, 100, b",0.0"),
+                                 (2, edge - 1, b",-0.0"), (3, edge - 1, b",0.0")):
+            rows = self.rows_of(tmp_path / "fast.csv", run)
+            assert len(rows) == horizon
+            assert not any(row.endswith(b"0.0") for row in rows[:first])
+            assert all(row.endswith(text) for row in rows[first:])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_exponent_form_values(self, tmp_path, monkeypatch, forks, cpus):
+        horizon = harness._BLOCK_ROUNDS + 20
+        values = [1e-05, 1e+16, 5e-324, -1e-05, -5e-324]
+        matrix = np.resize(values, (horizon, 3))
+        arms = (np.arange(horizon) + np.arange(3)[:, None]) % 3  # run r starts on arm r
+        comp_path = np.resize(np.array([2, 1], dtype=np.intp), horizon)
+        comp_losses = np.resize(values[::-1], horizon)
+        eps = np.resize(values[1:], horizon)
+        record = self.record_of(matrix, arms, eps)
+        self.assert_same_bytes(tmp_path, monkeypatch, record, comp_path, comp_losses, cpus=cpus)
+        assert len(forks) == cpus - 1
+        text = (tmp_path / "fast.csv").read_bytes()
+        for value in (b"1e-05", b"1e+16", b"5e-324"):
+            assert b"," + value + b"," in text and b"," + value + b"\r\n" in text
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_competition_switching_inside_and_at_block_edges(self, tmp_path, monkeypatch,
+                                                             forks, cpus):
+        block = harness._BLOCK_ROUNDS
+        stream = two_segment_stream(horizon=2 * block + 50)
+        record, _, _ = self.sweep(stream, 3)
+        comp_path = np.zeros(stream.horizon, dtype=np.intp)
+        comp_path[100:block] = 1  # a switch inside the first block, and one at its edge
+        comp_path[block:2 * block] = 3
+        comp_path[2 * block:] = 2  # and at the next edge
+        comp_losses = stream.matrix[np.arange(stream.horizon), comp_path]
+        self.assert_same_bytes(tmp_path, monkeypatch, record, comp_path, comp_losses, cpus=cpus)
+        assert len(forks) == cpus - 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("horizon", [harness._BLOCK_ROUNDS, harness._BLOCK_ROUNDS + 1])
+    def test_one_block_and_one_round_past_it(self, tmp_path, monkeypatch, forks, horizon, cpus):
+        stream = two_segment_stream(horizon=horizon)
+        self.assert_same_bytes(tmp_path, monkeypatch, *self.sweep(stream, 3, comp_arm=1),
+                               cpus=cpus)
+        assert len(forks) == cpus - 1
+
+    def test_peak_memory_of_one_writer(self, tmp_path, monkeypatch):
+        # the fields that every run shares are formatted once, about 50 bytes
+        # a round (0.5 MB here); a table of loss strings per (round, arm) would
+        # take several MB
+        record, comp_path, comp_losses = self.sweep(two_segment_stream(horizon=10_000), 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        tracemalloc.start()
+        try:
+            write_runs_csv(tmp_path / "runs.csv", record, comp_path, comp_losses)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
+
 
 class TestNegativeControls:
     """Each check must fail on a kernel broken in the way it guards against."""

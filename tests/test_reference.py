@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scalefree_bandit.competitions import fixed_arm_model, fixed_share_model, switch_count
-from scalefree_bandit.core import sample_arm
+from scalefree_bandit.core import mixture_coefficient, sample_arm
 from scalefree_bandit.environments import scripted
 from scalefree_bandit.reference import (
     DenseReference,
@@ -43,7 +43,8 @@ class TestDenseReference:
 
     def test_identity_transitions_are_pure_exponential_weighting(self):
         # with identity sharing and constant rate, weights must equal
-        # exp(-rate * cumulative excess per arm) up to normalization
+        # exp(-rate * cumulative excess per arm) up to normalization; the
+        # excess is the loss over the running minimum, importance-weighted
         model = fixed_arm_model(2)
         rng = make_generator(4)
         losses = rng.random((12, 2))
@@ -51,8 +52,10 @@ class TestDenseReference:
         ref = DenseReference(model, None, fixed_rate=0.5)
         cum = np.zeros(2)
         for t in range(12):
-            out = ref.step(int(arms[t]), float(losses[t, arms[t]]))
-            cum[arms[t]] += out["excess"]
+            arm, loss = int(arms[t]), float(losses[t, arms[t]])
+            out = ref.step(arm, loss)
+            eps = mixture_coefficient(t + 1, 2)
+            cum[arm] += (loss - ref.min_loss) / ((1.0 - eps) * out["p"][arm] + eps / 2)
             expected = np.exp(-0.5 * cum)
             expected /= expected.sum()
             actual = np.array(ref.weights) / sum(ref.weights)
