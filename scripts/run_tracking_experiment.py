@@ -14,27 +14,21 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from scalefree_bandit.harness import run_experiment
-from scalefree_bandit.verify import two_segment_config
+from scalefree_bandit.verify import switching_config_at_horizon
 
 
 def main() -> None:
     runs = int(sys.argv[1]) if len(sys.argv) > 1 else 100
     horizon = int(sys.argv[2]) if len(sys.argv) > 2 else 10_000
     half = horizon // 2
-    cfg = two_segment_config(
-        T=horizon,
-        runs=runs,
-        segments=f"{half}@0.25|0.75|0.75|0.75;{horizon - half}@0.75|0.25|0.75|0.75",
-        model=f"switching:{1.0 / horizon}",
-        competition="switching:1",
-        output="tracking",
-    )
+    cfg = switching_config_at_horizon(horizon, runs)
+    cfg.output = "tracking"
     report = run_experiment(cfg)
     print(f"runs={runs} T={horizon} gamma={report.gamma:.4f} "
           f"W={report.path_complexity:.3f} D={report.range_width:.3f}")
     print(f"oracle: one switch, loss={report.comp_loss:.1f}")
     print(f"{'t':>8} {'mean_regret':>12} {'stderr':>8} {'bound':>10}")
-    for t in (100, 1000, half, half + 1000, horizon):
+    for t in sorted(c for c in {100, 1000, half, half + 1000, horizon} if c <= horizon):
         i = t - 1
         print(f"{t:>8} {report.mean_regret[i]:>12.2f} "
               f"{report.stderr_regret[i]:>8.2f} {report.bound_curve[i]:>10.1f}")

@@ -28,9 +28,11 @@ arms is along axis 0, and every per-run quantity is a scalar or a
 over 8 or more arms goes through a contiguous ``(runs, M)`` copy, so it
 keeps numpy's pairwise order and each run's sum has the bits it has alone.
 
-Before the first nonzero excess the adaptive rate is undefined (NaN in the
-kernel, None in :class:`AdaptiveState`): the current rate is borrowed (power
-ratio one), and while that is undefined too the update is the identity.
+The per-run statistics are (running minimum, second moment, spread, previous
+rate), starting at :data:`START_STATS`. Before the first nonzero excess the
+adaptive rate is undefined (NaN; None in the :class:`AdaptiveState` view): the
+current rate is borrowed (power ratio one), and while that is undefined too
+the update is the identity.
 
 Two range checks guard the recursion: :func:`check_rates` (the rate stays in
 (0, inf)) and :func:`check_mass` (the weight mass stays in (0, inf)). They
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -57,6 +59,9 @@ from .rng import generator_state, make_generator, restore_generator
 
 SNAPSHOT_FORMAT = "scalefree-bandit-snapshot"
 SNAPSHOT_VERSION = 1
+
+# (running minimum, second moment, spread, previous rate) before any loss
+START_STATS = (math.inf, 0.0, 0.0, math.nan)
 
 
 class ProtocolError(RuntimeError):
@@ -70,7 +75,7 @@ class NumericalDegeneracyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class AdaptiveState:
-    """Scalar bookkeeping that drives exploration and the learning rate.
+    """Read-only view of the bookkeeping that drives exploration and the rate.
 
     ``rate_prev`` is the learning rate realized in the previous round, or
     None while it is still degenerate (no excess observed yet).
@@ -81,7 +86,6 @@ class AdaptiveState:
     second_moment: float
     spread_max: float
     rate_prev: float | None
-    gamma: float | None
 
 
 def mixture_coefficient(t: int, n_arms: int) -> float:
@@ -144,14 +148,14 @@ def _arm_sum(x: np.ndarray):
 def check_rates(rates, denom) -> None:
     """Raise unless every rate is in (0, inf) or marks the degenerate prefix.
 
-    ``rates`` holds one round's rates (a scalar, or a ``(runs,)`` row) or a
-    block's (``(runs, rounds)``), and ``denom`` is the rate's denominator
+    ``rates`` is one learner's rate (a scalar) or a batch's rates over some
+    rounds (``(runs, rounds)``), and ``denom`` is the rate's denominator
     (second moment + spread^2) after the last of those rounds. A rate may be
     NaN only while its denominator is 0. One round fails exactly when
     ``not (denom == 0 or 0 < rate < inf)``.
     """
     if isinstance(rates, np.ndarray):
-        last = rates[:, -1] if rates.ndim > np.ndim(denom) else rates
+        last = rates[:, -1]
         bad = (np.count_nonzero((rates <= 0.0) | (rates == math.inf))
                or np.count_nonzero((last != last) & (denom != 0.0)))
     else:
@@ -258,17 +262,16 @@ def adaptive_step(loss, q_sel, p_sel, min_loss, second_moment, spread_max, rate_
         if settled:  # denom >= the previous one > 0, or NaN
             rate = gamma / np.sqrt(denom)
             exponent_rate, power = rate_prev, rate / rate_prev
-        else:
-            rate = gamma / np.sqrt(_where(denom > 0.0, denom, math.nan))
-            if isinstance(rate_prev, np.ndarray):
-                exponent_rate = np.fmax(rate_prev, rate)
-                power = np.fmin(rate / rate_prev, 1.0)
-            else:
-                degenerate = rate_prev != rate_prev  # NaN: no excess before this round
-                exponent_rate = rate if degenerate else rate_prev
-                power = 1.0 if degenerate else rate / rate_prev
-        if not isinstance(denom, np.ndarray):
+        elif isinstance(rate_prev, np.ndarray):
+            rate = gamma / np.sqrt(np.where(denom > 0.0, denom, math.nan))
+            exponent_rate = np.fmax(rate_prev, rate)
+            power = np.fmin(rate / rate_prev, 1.0)
+        else:  # one learner: plain floats in, plain floats out
+            rate = gamma / math.sqrt(denom) if denom > 0.0 else math.nan
             check_rates(rate, denom)
+            degenerate = rate_prev != rate_prev  # NaN: no excess before this round
+            exponent_rate = rate if degenerate else rate_prev
+            power = 1.0 if degenerate else rate / rate_prev
     exponent = exponent_rate * excess
     exponent = _where(exponent > 0.0, exponent, 0.0)  # 0, not NaN, while the rate is NaN
     return min_loss, second_moment, spread_max, rate, exponent, power
@@ -342,11 +345,15 @@ def round_step(model: CompetitionModel, log_w: np.ndarray, p: np.ndarray, q: np.
     ``(M, runs)`` for a batch, whose ``log_w`` is overwritten. ``sel`` is
     the flat index of the selected arm in them: ``arm``, or ``arm * runs +
     run`` per run. ``loss`` and ``stats`` (running minimum, second moment,
-    spread, previous rate) are scalars or ``(runs,)`` rows. Returns the next
+    spread, previous rate) are floats or ``(runs,)`` rows. Returns the next
     (log_w, p, stats, (log_in, log_out)).
     """
+    if isinstance(sel, np.ndarray):
+        q_sel, p_sel = q.reshape(-1)[sel], p.reshape(-1)[sel]
+    else:
+        q_sel, p_sel = q.item(sel), p.item(sel)
     min_loss, second, spread, rate, exponent, power = adaptive_step(
-        loss, q.reshape(-1)[sel], p.reshape(-1)[sel], *stats, gamma, fixed_rate, settled)
+        loss, q_sel, p_sel, *stats, gamma, fixed_rate, settled)
     log_w, p, log_in, log_out = weight_step(model, log_w, sel, exponent, power)
     return log_w, p, (min_loss, second, spread, rate), (log_in, log_out)
 
@@ -383,21 +390,14 @@ class ScaleFreeBandit:
         elif fixed_rate < 0.0 or not math.isfinite(fixed_rate):
             raise ValueError(f"fixed_rate must be finite and >= 0, got {fixed_rate}")
         self._model = model
-        self._n_arms = model.n_arms
+        self._gamma = None if gamma is None else float(gamma)
         self._fixed_rate = None if fixed_rate is None else float(fixed_rate)  # JSON in snapshots
         self._log_w = model.log_prior.copy()
         self._p = arm_probabilities(self._log_w)
-        self._stats = AdaptiveState(
-            round=1,
-            min_loss=math.inf,
-            second_moment=0.0,
-            spread_max=0.0,
-            rate_prev=None,
-            gamma=None if gamma is None else float(gamma),
-        )
+        self._round = 1
+        self._stats = START_STATS  # what round_step takes and returns
         self._rng = rng if rng is not None else make_generator(seed)
-        self._phase = "select"
-        self._pending: tuple[int, np.ndarray] | None = None
+        self._pending: tuple[int, np.ndarray] | None = None  # set between select and update
         self._conservation: tuple[float, float] | None = None
 
     # -- read-only views ---------------------------------------------------
@@ -408,15 +408,16 @@ class ScaleFreeBandit:
 
     @property
     def n_arms(self) -> int:
-        return self._n_arms
+        return self._model.n_arms
 
     @property
     def round(self) -> int:
-        return self._stats.round
+        return self._round
 
     @property
     def stats(self) -> AdaptiveState:
-        return self._stats
+        min_loss, second, spread, rate = self._stats
+        return AdaptiveState(self._round, min_loss, second, spread, None if rate != rate else rate)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -440,45 +441,33 @@ class ScaleFreeBandit:
         ``force_arm`` bypasses sampling (and leaves the random stream
         untouched) so oracles can replay scripted choices.
         """
-        if self._phase != "select":
+        if self._pending is not None:
             raise ProtocolError("select() called twice without update()")
-        eps = mixture_coefficient(self._stats.round, self._n_arms)
+        eps = mixture_coefficient(self._round, self.n_arms)
         q = selection_probabilities(self._p, eps)
         if force_arm is None:
             arm = sample_arm(q, self._rng)
         else:
             arm = int(force_arm)
-            if not 0 <= arm < self._n_arms:
+            if not 0 <= arm < self.n_arms:
                 raise ValueError(f"forced arm {arm} out of range")
         self._pending = (arm, q)
-        self._phase = "update"
         return arm, q
 
     def update(self, loss: float) -> None:
         """Phase two: reveal the selected arm's loss and advance one round."""
-        if self._phase != "update":
+        if self._pending is None:
             raise ProtocolError("update() called without a pending select()")
         loss = float(loss)
         if not math.isfinite(loss):
             raise ValueError(f"losses must be finite, got {loss}")
         arm, q = self._pending
-        old = self._stats
-        stats = (old.min_loss, old.second_moment, old.spread_max,
-                 math.nan if old.rate_prev is None else old.rate_prev)
-        self._log_w, self._p, stats, conservation = round_step(
-            self._model, self._log_w, self._p, q, arm, loss, stats, old.gamma, self._fixed_rate)
+        self._log_w, self._p, self._stats, conservation = round_step(
+            self._model, self._log_w, self._p, q, arm, loss, self._stats, self._gamma,
+            self._fixed_rate)
         self._conservation = (float(conservation[0]), float(conservation[1]))
-        min_loss, second, spread, rate = (float(x) for x in stats)
-        self._stats = AdaptiveState(
-            round=old.round + 1,
-            min_loss=min_loss,
-            second_moment=second,
-            spread_max=spread,
-            rate_prev=None if math.isnan(rate) else rate,
-            gamma=old.gamma,
-        )
+        self._round += 1
         self._pending = None
-        self._phase = "select"
 
     def play_round(self, loss_of_arm: Callable[[int], float]) -> tuple[int, float]:
         """Full round: select, look up the chosen arm's loss, update."""
@@ -493,19 +482,20 @@ class ScaleFreeBandit:
         """Exact state between rounds as strict JSON data; restore() resumes
         bit-for-bit. ``min_loss`` is null before the first update (restore()
         also reads the ``Infinity`` older snapshots wrote there)."""
-        if self._phase != "select":
+        if self._pending is not None:
             raise ProtocolError("cannot snapshot mid-round (pending update)")
+        st = self.stats
         return {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
-            "model": {"spec": self._model.spec, "n_arms": self._n_arms},
-            "gamma": self._stats.gamma,
+            "model": {"spec": self._model.spec, "n_arms": self.n_arms},
+            "gamma": self._gamma,
             "fixed_rate": self._fixed_rate,
-            "round": self._stats.round,
-            "min_loss": None if self._stats.min_loss == math.inf else self._stats.min_loss,
-            "second_moment": self._stats.second_moment,
-            "spread_max": self._stats.spread_max,
-            "rate_prev": self._stats.rate_prev,
+            "round": st.round,
+            "min_loss": None if st.min_loss == math.inf else st.min_loss,
+            "second_moment": st.second_moment,
+            "spread_max": st.spread_max,
+            "rate_prev": st.rate_prev,
             "log_weights": [float(x) for x in self._log_w],
             "rng": generator_state(self._rng),
         }
@@ -523,6 +513,12 @@ class ScaleFreeBandit:
             rng=restore_generator(snap["rng"]),
             fixed_rate=snap["fixed_rate"],
         )
+        rounds = snap["round"]
+        if type(rounds) is not int or rounds < 1:  # bool is not int here
+            raise ValueError(f"snapshot round must be an integer >= 1, got {rounds!r}")
+        min_loss = math.inf if snap["min_loss"] is None else snap["min_loss"]
+        if type(min_loss) not in (int, float) or not -math.inf < min_loss:  # inf: older null
+            raise ValueError(f"snapshot min_loss must be null or a finite number, got {min_loss!r}")
         second, spread = float(snap["second_moment"]), float(snap["spread_max"])
         for name, value in (("second_moment", second), ("spread_max", spread)):
             if not 0.0 <= value < math.inf:
@@ -531,19 +527,18 @@ class ScaleFreeBandit:
         if state._fixed_rate is None:
             # the kernel's rate from these statistics, bit for bit; it raises at 0 and inf
             denom = second + spread * spread
-            rate = None if denom == 0.0 else state._stats.gamma / math.sqrt(denom)
+            rate = None if denom == 0.0 else state._gamma / math.sqrt(denom)
             if rate_prev != rate or rate in (0.0, math.inf):
                 raise ValueError(f"snapshot rate_prev {rate_prev!r} is not gamma / "
                                  f"sqrt(second_moment + spread_max**2) = {rate!r}")
         state._log_w = np.array(snap["log_weights"], dtype=np.float64)
-        if state._log_w.shape != (state._n_arms,):
-            raise ValueError(f"snapshot log_weights must hold {state._n_arms} numbers, "
+        if state._log_w.shape != (state.n_arms,):
+            raise ValueError(f"snapshot log_weights must hold {state.n_arms} numbers, "
                              f"got shape {state._log_w.shape}")
         state._p = arm_probabilities(state._log_w)
-        state._stats = replace(
-            state._stats, round=int(snap["round"]), second_moment=second, spread_max=spread,
-            min_loss=math.inf if snap["min_loss"] is None else float(snap["min_loss"]),
-            rate_prev=rate_prev)
+        state._round = rounds
+        state._stats = (float(min_loss), second, spread,
+                        math.nan if rate_prev is None else rate_prev)
         return state
 
     def save(self, path) -> None:

@@ -23,10 +23,9 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 
 class LossStream:
-    """Immutable loss matrix with optional affine-view bookkeeping."""
+    """Immutable loss matrix."""
 
-    def __init__(self, matrix: np.ndarray, _root: "LossStream | None" = None,
-                 _scale: float = 1.0, _offset: float = 0.0):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError("loss matrix must be 2-D (rounds x arms)")
@@ -36,9 +35,6 @@ class LossStream:
             raise ValueError("losses must be finite")
         matrix.setflags(write=False)
         self._matrix = matrix
-        self._root = _root
-        self._scale = _scale
-        self._offset = _offset
 
     @property
     def matrix(self) -> np.ndarray:
@@ -104,22 +100,14 @@ def piecewise_stationary(
 
 
 def affine(base: LossStream, a: float, b: float) -> LossStream:
-    """View of `base` with every loss mapped to a*loss + b (a > 0).
-
-    Nested affine views collapse algebraically, so composing two wrappers
-    is entrywise identical to one wrapper with the composed coefficients.
-    """
+    """Copy of `base` with every loss mapped to a*loss + b (a > 0)."""
     a = float(a)
     b = float(b)
     if not a > 0:
         raise ValueError(f"scale must be positive, got {a}")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("affine coefficients must be finite")
-    root = base
-    if base._root is not None:
-        root = base._root
-        a, b = a * base._scale, a * base._offset + b
-    return LossStream(a * root.matrix + b, _root=root, _scale=a, _offset=b)
+    return LossStream(a * base.matrix + b)
 
 
 def _first_duplicate(rounds: array, arms: array) -> int | None:

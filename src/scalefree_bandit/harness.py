@@ -46,8 +46,8 @@ import numpy as np
 
 from . import environments, reference
 from .competitions import CompetitionModel, complexity, default_gamma, parse_model
-from .core import (NumericalDegeneracyError, arm_probabilities, check_rates, draw_arms,
-                   mixture_coefficient, round_step, selection_probabilities)
+from .core import (START_STATS, NumericalDegeneracyError, arm_probabilities, check_rates,
+                   draw_arms, mixture_coefficient, round_step, selection_probabilities)
 from .environments import LossStream
 from .rng import run_generator
 
@@ -365,16 +365,11 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
             eta[:, t] = stats[3]
             eps_hist[t] = eps
             if checked:
-                check(stats[3], log_w, stats)
+                check(eta[:, t:t + 1], log_w, stats)
         return log_w, p, stats
 
     log_w = np.repeat(model.log_prior[:, None], runs, axis=1)
-    state = (log_w, arm_probabilities(log_w), (
-        np.full(runs, np.inf),  # running minimum
-        np.zeros(runs),  # second moment
-        np.zeros(runs),  # spread
-        np.full(runs, np.nan),  # previous rate, NaN while degenerate
-    ))
+    state = (log_w, arm_probabilities(log_w), tuple(np.full(runs, x) for x in START_STATS))
     for lo in range(0, horizon, block):
         hi = min(lo + block, horizon)
         for r, gen in enumerate(generators):

@@ -63,7 +63,6 @@ class DenseReference:
         self.second_moment = 0.0
         self.spread_max = 0.0
         self.rate_prev: float | None = None
-        self.last_conservation: tuple[float, float] | None = None
 
     def probabilities(self) -> list[float]:
         total = sum(self.weights)
@@ -110,12 +109,11 @@ class DenseReference:
                 acc += self.transition[m_prev][m_next] * z_pow[m_prev]
             w_next[m_next] = acc
         mass_out = sum(w_next)
-        self.last_conservation = (mass_in, mass_out)
         self.weights = [w / mass_out for w in w_next]
         if self.fixed_rate is None:
             self.rate_prev = rate
         self.t += 1
-        return {"p": p, "conservation": self.last_conservation}
+        return {"p": p, "conservation": (mass_in, mass_out)}
 
 
 def run_dense(model: CompetitionModel, gamma: float | None, losses: np.ndarray,
@@ -130,7 +128,7 @@ def run_dense(model: CompetitionModel, gamma: float | None, losses: np.ndarray,
         out = ref.step(int(arms[t]), float(losses[t, arms[t]]))
         p_hist[t] = out["p"]
         conservation[t] = out["conservation"]
-    return {"p": p_hist, "conservation": conservation, "final": ref}
+    return {"p": p_hist, "conservation": conservation}
 
 
 def replay_core(model: CompetitionModel, gamma: float | None, losses: np.ndarray,

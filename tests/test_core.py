@@ -361,7 +361,7 @@ class TestInit:
 
     def test_fixed_rate_needs_no_gamma(self):
         state = ScaleFreeBandit(fixed_arm_model(2), gamma=None, fixed_rate=0.5)
-        assert state.stats.gamma is None
+        assert state.snapshot()["gamma"] is None
 
     def test_initial_bookkeeping(self):
         state = ScaleFreeBandit(fixed_arm_model(2), gamma=1.0, seed=0)
@@ -406,6 +406,26 @@ class TestRoundProtocol:
             state.update(math.nan)
         with pytest.raises(ValueError):
             state.update(math.inf)
+
+    @pytest.mark.parametrize("bad_loss,error", [
+        (2.0 ** 600, NumericalDegeneracyError), (math.nan, ValueError)], ids=["overflow", "nan"])
+    def test_failed_update_changes_nothing(self, bad_loss, error):
+        # a rejected loss leaves the learner as it was, still waiting for update()
+        state = ScaleFreeBandit(fixed_share_model(4, 0.01), gamma=1.0, seed=0)
+        for _ in range(20):
+            state.play_round(lambda arm: (0.25, 0.75, 0.5, 1.0)[arm])
+        state.select()
+        before = (state.round, state.stats, state.log_weights, state.probabilities)
+        assert before[1].rate_prev is not None
+        with pytest.raises(error):
+            state.update(bad_loss)
+        assert (state.round, state.stats) == before[:2]
+        assert np.array_equal(state.log_weights, before[2])
+        assert np.array_equal(state.probabilities, before[3])
+        with pytest.raises(ProtocolError):
+            state.select()
+        with pytest.raises(ProtocolError):
+            state.snapshot()
 
     def test_forced_arm_must_be_in_range(self):
         state = ScaleFreeBandit(fixed_arm_model(2), gamma=1.0, seed=0)
@@ -504,6 +524,8 @@ class TestSnapshot:
     @pytest.mark.parametrize("field,value", [
         ("rate_prev", 1e-9), ("rate_prev", -1.0), ("second_moment", -1.0),
         ("spread_max", -0.5), ("second_moment", math.inf), ("spread_max", math.nan),
+        ("round", 0), ("round", -3), ("round", 2.7), ("round", True), ("round", "7"),
+        ("min_loss", math.nan), ("min_loss", -math.inf), ("min_loss", "0.5"),
     ])
     @pytest.mark.parametrize("rounds", [0, 6])
     def test_unreachable_statistics_rejected_at_restore(self, field, value, rounds):

@@ -90,15 +90,6 @@ class TestAffine:
         base = scripted([[0.25, 0.75], [0.5, 0.125]])
         assert np.array_equal(affine(base, 2.0 ** 10, 0.0).matrix, base.matrix * 1024.0)
 
-    def test_composition_collapses_exactly(self):
-        rng = np.random.default_rng(5)
-        base = scripted(rng.normal(size=(7, 3)))
-        a1, b1 = 2.0 ** 3, 0.73
-        a2, b2 = 2.0 ** -2, -1.21
-        nested = affine(affine(base, a1, b1), a2, b2)
-        flat = affine(base, a2 * a1, a2 * b1 + b2)
-        assert np.array_equal(nested.matrix, flat.matrix)
-
     def test_rejects_nonpositive_scale(self):
         base = scripted([[0.0, 1.0]])
         for a in (0.0, -2.0):

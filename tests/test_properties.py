@@ -18,7 +18,7 @@ from scalefree_bandit.core import (
     selection_probabilities,
     weight_step,
 )
-from scalefree_bandit.environments import affine, scripted
+from scalefree_bandit.environments import scripted
 from scalefree_bandit.harness import simulate_runs
 from scalefree_bandit.reference import replay_core
 
@@ -92,20 +92,6 @@ def test_complexity_closed_form(n_arms, alpha, moves):
         + (horizon - 1 - k) * math.log(1 / (1 - alpha))
     )
     assert complexity(model, path) == pytest.approx(expected, rel=1e-9, abs=1e-9)
-
-
-@given(
-    k1=st.integers(min_value=-10, max_value=10),
-    k2=st.integers(min_value=-10, max_value=10),
-    b1=st.floats(min_value=-100, max_value=100),
-    b2=st.floats(min_value=-100, max_value=100),
-)
-def test_affine_composition_exact_for_power_of_two_scales(k1, k2, b1, b2):
-    base = scripted(np.linspace(-3.0, 5.0, 12).reshape(6, 2))
-    a1, a2 = 2.0 ** k1, 2.0 ** k2
-    nested = affine(affine(base, a1, b1), a2, b2)
-    flat = affine(base, a2 * a1, a2 * b1 + b2)
-    assert np.array_equal(nested.matrix, flat.matrix)
 
 
 @given(t=st.integers(min_value=1, max_value=10 ** 9),

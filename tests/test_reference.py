@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -317,3 +318,18 @@ def test_scale_invariance_script_runs(capsys):
     out = capsys.readouterr().out
     assert out.count("identical selections = True") == 2
     assert "100x stream: rejected" in out
+
+
+def test_tracking_script_runs_below_two_thousand_rounds(tmp_path, monkeypatch, capsys):
+    # below T=2000 the checkpoint half + 1000 lies past the horizon and is not printed
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_tracking_experiment.py"
+    spec = importlib.util.spec_from_file_location("run_tracking_experiment", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [str(script), "3", "400"])
+    module.main()
+    out = capsys.readouterr().out
+    assert "bound satisfied: True" in out
+    assert (tmp_path / "tracking_runs.csv").is_file()
+    assert (tmp_path / "tracking_summary.csv").is_file()
