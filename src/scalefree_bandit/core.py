@@ -519,12 +519,20 @@ class ScaleFreeBandit:
         min_loss = math.inf if snap["min_loss"] is None else snap["min_loss"]
         if type(min_loss) not in (int, float) or not -math.inf < min_loss:  # inf: older null
             raise ValueError(f"snapshot min_loss must be null or a finite number, got {min_loss!r}")
+        if (min_loss == math.inf) != (rounds == 1):  # every update sets a finite minimum
+            raise ValueError(f"snapshot min_loss must be null at round 1 and only there, "
+                             f"got {snap['min_loss']!r} at round {rounds}")
         second, spread = float(snap["second_moment"]), float(snap["spread_max"])
         for name, value in (("second_moment", second), ("spread_max", spread)):
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"snapshot {name} must be finite and >= 0, got {value!r}")
         rate_prev = None if snap["rate_prev"] is None else float(snap["rate_prev"])
-        if state._fixed_rate is None:
+        if state._fixed_rate is not None:
+            rate = None if rounds == 1 else state._fixed_rate
+            if rate_prev != rate:
+                raise ValueError(f"snapshot rate_prev {rate_prev!r} of a fixed-rate learner "
+                                 f"at round {rounds} is not {rate!r}")
+        else:
             # the kernel's rate from these statistics, bit for bit; it raises at 0 and inf
             denom = second + spread * spread
             rate = None if denom == 0.0 else state._gamma / math.sqrt(denom)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 
 import numpy as np
@@ -138,11 +139,69 @@ def _first_missing(t: np.ndarray, m: np.ndarray, shape: tuple[int, int]) -> tupl
     return k // n_arms, k % n_arms
 
 
+_ROW_DTYPE = np.dtype([("t", np.int64), ("arm", np.int64), ("loss", np.float64)])
+# No field of a shorter line can exceed Python's int digit limit (640 at its lowest).
+_LINE_LIMIT = 640
+
+
+def _longest_line(path) -> int:
+    """Length in bytes of the file's longest line, counting its line end."""
+    with open(path, "rb") as fh:
+        data = np.frombuffer(fh.read(), np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    return int(np.diff(ends, prepend=-1, append=data.size).max())
+
+
+def _parse_clean(path) -> np.ndarray | None:
+    """The rows of a file that numpy parses in one pass, else None.
+
+    None unless the first line is exactly the header and every later line is
+    blank or three fields that numpy reads as two int64 and a float64. Such
+    fields are a subset of what Python's int and float accept, with the same
+    values. A line too long for csv's field size limit or int's digit limit
+    gives None as well.
+    """
+    if _longest_line(path) > min(_LINE_LIMIT, csv.field_size_limit()):
+        return None
+    with open(path) as fh:
+        if fh.readline() != "t,arm,loss\n":
+            return None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data", among others
+                return np.loadtxt(fh, delimiter=",", dtype=_ROW_DTYPE, comments=None, ndmin=1)
+        except (ValueError, OverflowError, Warning):
+            return None
+
+
 def load_csv(path) -> LossStream:
     """Read a scripted stream (header t,arm,loss; 0-based t, 1-based arm).
 
-    An error names the file and the line of the first fault in file order.
+    A clean file is parsed in one numpy pass and checked as whole arrays.
+    Any file that numpy rejects or that fails a check is read again row by
+    row (:func:`_read_rows`), whose error names the file and the line of the
+    first fault in file order.
     """
+    rows = _parse_clean(path)
+    if rows is None:
+        return _read_rows(path)
+    t, m, losses = rows["t"], rows["arm"], rows["loss"]
+    if not ((t >= 0).all() and (m >= 1).all() and np.isfinite(losses).all()):
+        return _read_rows(path)
+    m -= 1
+    shape = (int(t.max()) + 1, int(m.max()) + 1)
+    if t.size != shape[0] * shape[1]:  # a cell missing or repeated; the grid is not allocated
+        return _read_rows(path)
+    matrix = np.full(shape, np.nan)  # no larger than the rows
+    matrix[t, m] = losses
+    del rows, t, m, losses
+    if np.isnan(matrix).any():  # a cell repeated, so another one missing
+        return _read_rows(path)
+    return LossStream(matrix)
+
+
+def _read_rows(path) -> LossStream:
+    """:func:`load_csv` one csv row at a time; an error names the file and line."""
     rounds, arms, losses, lines = array("q"), array("q"), array("d"), array("q")
 
     def first_fault(line_no=None, message=None) -> ValueError | None:

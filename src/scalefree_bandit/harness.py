@@ -258,9 +258,10 @@ class SimulationRecord:
 
     def _loss_rows(self, runs):
         """Yield ``(r, losses)`` of each run in `runs`: its arms gathered from the matrix."""
-        rounds = np.arange(self.matrix.shape[0])
+        horizon, n_arms = self.matrix.shape
+        flat, base = self.matrix.reshape(-1), np.arange(horizon) * n_arms
         for r in runs:
-            yield r, self.matrix[rounds, self.arms[r]]
+            yield r, flat.take(base + self.arms[r])
 
     @property
     def losses(self) -> np.ndarray:

@@ -224,17 +224,30 @@ def best_fixed_arm(stream: LossStream) -> tuple[int, float]:
     return arm, path_loss(stream, np.full(stream.horizon, arm, dtype=np.intp))
 
 
+_BLOCK = 256  # rounds of the suffix pass between two bookkeeping steps
+
+
 def best_switching_sequence(stream: LossStream, max_switches: int) -> tuple[np.ndarray, float]:
     """Minimum-loss arm sequence using at most `max_switches` changes.
 
     Suffix dynamic program over (round, arm, switches left), O(T*M*k), then
     a forward walk that takes, round by round, the smallest arm whose suffix
     attains the optimum: the lexicographically smallest minimizing path
-    when the sums are exact. Only two suffix columns of shape (M, k+1) are
-    kept. For every round t >= 1 and budget j >= 1 the pass stores what the
-    walk needs: ``target`` the smallest arm attaining ``best``, the minimum
-    of column j-1 (the best switch), and per arm m, with ``stay`` its own
-    value in column j, ``below = stay < best`` and ``atmost = stay <= best``.
+    when the sums are exact. For every round t >= 1 and budget j >= 1 the
+    pass stores what the walk needs: ``target`` the smallest arm attaining
+    ``best``, the minimum of column j-1 (the best switch), and per arm m,
+    with ``stay`` its own value in column j, ``below = stay < best`` and
+    ``atmost = stay <= best``.
+
+    The pass runs in blocks of ``_BLOCK`` rounds. Per round it only takes
+    the values: the minimum of each column j-1 into a row whose budget-0
+    entry is ``+inf``, the elementwise minimum of the next round's values
+    with that row, plus the round's losses. They go into a ``(_BLOCK + 1,
+    M, k+1)`` slab, from which the bits of the whole block are taken at
+    once. The values are those of the argmin-indexed step: the minimum is
+    an element of its column, the ``+inf`` entry leaves column 0 as it is,
+    and a tie of ``0.0`` with ``-0.0`` can change only the sign of a zero,
+    which no comparison reads.
 
     A suffix never costs more with more switches left, and this holds
     exactly in floating point: the minimum is monotone, and adding the same
@@ -257,27 +270,34 @@ def best_switching_sequence(stream: LossStream, max_switches: int) -> tuple[np.n
     matrix = stream.matrix
     horizon, n_arms = matrix.shape
     k = min(max_switches, horizon - 1)
-    # nxt[m, j] / cur[m, j]: best loss of rounds t+1.. / t.. given arm m then, j switches left
-    nxt = np.zeros((n_arms, k + 1))
-    cur = np.empty_like(nxt)
+    # slab[i, m, j]: best loss of the rounds from the i-th of the block on,
+    # given arm m then and j switches left; slab[-1] holds the round after the block
+    slab = np.zeros((_BLOCK + 1, n_arms, k + 1))
+    # switch[j]: the next round's best value after a switch, the min of its
+    # column j-1; no switch is left at j = 0
+    switch = np.full(k + 1, np.inf)
+    spend = switch[1:]
     target = np.empty((horizon, k), dtype=np.int16 if n_arms <= 1 << 15 else np.intp)
     below = np.empty((horizon, n_arms, k), dtype=bool)
     atmost = np.empty_like(below)
-    budgets = np.arange(k)
-    for t in range(horizon - 1, -1, -1):
-        switch_to = nxt[:, :-1].argmin(axis=0)
-        best = nxt[switch_to, budgets]
-        if t + 1 < horizon:
-            target[t + 1] = switch_to
-            np.less(nxt[:, 1:], best, out=below[t + 1])
-            np.less_equal(nxt[:, 1:], best, out=atmost[t + 1])
-        cur[:, 0] = nxt[:, 0]
-        np.minimum(nxt[:, 1:], best, out=cur[:, 1:])
-        cur += matrix[t][:, None]
-        nxt, cur = cur, nxt
+    for end in range(horizon, 0, -_BLOCK):
+        start = max(end - _BLOCK, 0)
+        block = slab[_BLOCK - (end - start):]
+        losses = matrix[start:end, :, None]
+        for cur, nxt, nxt_fewer, loss in zip(block[-2::-1], block[:0:-1], block[:0:-1, :, :-1],
+                                             losses[::-1]):
+            np.minimum.reduce(nxt_fewer, axis=0, out=spend)
+            np.minimum(nxt, switch, out=cur)
+            np.add(cur, loss, out=cur)
+        stays, values = block[:-1, :, 1:], block[:-1, :, :-1]
+        target[start:end] = values.argmin(axis=1)
+        best = np.take_along_axis(values, target[start:end, None, :], axis=1)
+        np.less(stays, best, out=below[start:end])
+        np.less_equal(stays, best, out=atmost[start:end])
+        slab[-1] = block[0]
     path = np.empty(horizon, dtype=np.intp)
     j = k
-    path[0] = int(np.argmin(nxt[:, k]))
+    path[0] = int(np.argmin(slab[-1, :, k]))
     for t in range(1, horizon):
         m = path[t - 1]
         if j == 0:

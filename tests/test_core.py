@@ -521,17 +521,28 @@ class TestSnapshot:
         twin = ScaleFreeBandit.restore(json.loads(snaps[0]))
         assert json.dumps(twin.snapshot(), allow_nan=False) == snaps[0]
 
-    @pytest.mark.parametrize("field,value", [
-        ("rate_prev", 1e-9), ("rate_prev", -1.0), ("second_moment", -1.0),
-        ("spread_max", -0.5), ("second_moment", math.inf), ("spread_max", math.nan),
-        ("round", 0), ("round", -3), ("round", 2.7), ("round", True), ("round", "7"),
-        ("min_loss", math.nan), ("min_loss", -math.inf), ("min_loss", "0.5"),
+    @pytest.mark.parametrize("rounds,field,value,fixed_rate", [
+        *(pytest.param(rounds, field, value, None, id=f"{rounds}-{field}-{value}")
+          for field, value in [
+              ("rate_prev", 1e-9), ("rate_prev", -1.0), ("second_moment", -1.0),
+              ("spread_max", -0.5), ("second_moment", math.inf), ("spread_max", math.nan),
+              ("round", 0), ("round", -3), ("round", 2.7), ("round", True), ("round", "7"),
+              ("min_loss", math.nan), ("min_loss", -math.inf), ("min_loss", "0.5"),
+          ] for rounds in (0, 6)),
+        # a null (or the older Infinity) min_loss means no loss yet: round 1 only
+        pytest.param(6, "min_loss", None, None, id="6-min_loss-None"),
+        pytest.param(6, "min_loss", math.inf, None, id="6-min_loss-Infinity"),
+        pytest.param(0, "min_loss", 0.25, None, id="0-min_loss-0.25"),
+        # a fixed-rate learner's rate_prev is null at round 1 and its fixed rate after
+        pytest.param(0, "rate_prev", 0.5, 0.5, id="0-rate_prev-0.5-fixed"),
+        pytest.param(6, "rate_prev", -7.0, 0.5, id="6-rate_prev--7.0-fixed"),
+        pytest.param(6, "rate_prev", None, 0.5, id="6-rate_prev-None-fixed"),
     ])
-    @pytest.mark.parametrize("rounds", [0, 6])
-    def test_unreachable_statistics_rejected_at_restore(self, field, value, rounds):
+    def test_unreachable_statistics_rejected_at_restore(self, rounds, field, value, fixed_rate):
         # statistics the recursion cannot produce fail at restore, naming the
         # field, instead of surfacing at some later update
-        state = ScaleFreeBandit(fixed_share_model(3, 0.2), gamma=1.0, seed=4)
+        state = ScaleFreeBandit(fixed_share_model(3, 0.2), gamma=1.0, seed=4,
+                                fixed_rate=fixed_rate)
         self.play(state, {0: 1.0, 1: 2.0, 2: 0.0}, rounds)
         snap = json.loads(json.dumps(state.snapshot(), allow_nan=False))
         snap[field] = value

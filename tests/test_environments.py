@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scalefree_bandit import environments
 from scalefree_bandit.environments import (
     LossStream,
+    _read_rows,
     affine,
     load_csv,
     piecewise_stationary,
@@ -207,6 +211,98 @@ class TestCsv:
     def test_non_2d_matrix_rejected(self):
         with pytest.raises(ValueError, match="2-D"):
             scripted(np.zeros(4))
+
+
+def _outcome(read, path):
+    """The matrix bytes a reader returns, or the text of its ValueError."""
+    try:
+        return read(path).matrix.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _padded(draw, text):
+    space = st.sampled_from(["", " ", "\t", "  "])
+    return draw(space) + text + draw(space)
+
+
+def _index_text(draw, value):
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    return _padded(draw, sign + "0" * draw(st.integers(0, 2)) + str(abs(value)))
+
+
+@st.composite
+def csv_texts(draw):
+    """A stream file: shuffled rows of a small grid, sometimes one cell dropped,
+    repeated or out of range, in varied formatting and line layout."""
+    n_rounds, n_arms = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    cells = draw(st.permutations([(t, m + 1) for t in range(n_rounds) for m in range(n_arms)]))
+    edit = draw(st.sampled_from(["none", "none", "drop", "repeat", "repeat for the last",
+                                 "negative round", "arm 0"]))
+    if edit == "drop" and len(cells) > 1:
+        cells = cells[1:]
+    elif edit == "repeat":
+        cells = cells + [cells[0]]
+    elif edit == "repeat for the last":  # as many rows as cells, one cell missing
+        cells = cells[:-1] + [cells[0]]
+    elif edit == "negative round":
+        cells = [(-1, cells[0][1])] + cells[1:]
+    elif edit == "arm 0":
+        cells = [(cells[0][0], 0)] + cells[1:]
+    losses = st.one_of(
+        st.floats().map(repr),
+        st.sampled_from(["-0.0", "5e-324", "2.2250738585072014e-308", "1e-400", "1e400",
+                         "-1.5E+3", ".5", "7."]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["t,arm,loss"]
+    for t, arm in cells:
+        lines.extend([""] * draw(st.integers(0, 1)))
+        lines.append(",".join([_index_text(draw, t), _index_text(draw, arm),
+                               _padded(draw, draw(losses))]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+
+
+class TestCsvParity:
+    """load_csv parses a clean file in one pass; every outcome equals the row reader's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts())
+    def test_matches_the_row_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("parity") / "stream.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(load_csv, path) == _outcome(_read_rows, path)
+
+    @pytest.mark.parametrize("text,expected", [
+        pytest.param('t,arm,loss\n0,1,"0.5"\n"0",2,0.25\n', [[0.5, 0.25]], id="quoted"),
+        pytest.param("t,arm,loss\n0,1,1_0.5\n0,2,1\n", [[10.5, 1.0]], id="underscore"),
+        pytest.param("t,arm,loss\r0,1,0.5\r0,2,0.25\r", [[0.5, 0.25]], id="lone_cr"),
+        pytest.param("t,arm,loss\n0,1,0.5\n  \n0,2,0.25\n", "csv:3: expected 3 fields, got 1",
+                     id="whitespace_line"),
+        pytest.param("t,arm,loss\n", "csv: empty stream", id="header_only"),
+        # Python's int refuses more digits than its limit; numpy reads this round as 0
+        pytest.param("t,arm,loss\n0,1,0.5\n" + "0" * 5000 + ",2,0.25\n",
+                     "csv:3: Exceeds the limit", id="long_digits"),
+    ])
+    def test_inputs_only_the_row_reader_reads(self, tmp_path, text, expected):
+        path = tmp_path / "stream.csv"
+        path.write_bytes(text.encode())
+        outcome = _outcome(load_csv, path)
+        assert outcome == _outcome(_read_rows, path)
+        if isinstance(expected, str):
+            assert expected in outcome
+        else:
+            assert outcome == np.array(expected).tobytes()
+
+    def test_clean_file_skips_the_row_reader(self, tmp_path, monkeypatch):
+        stream = scripted(np.random.default_rng(1).normal(size=(300, 4)))
+        path = tmp_path / "clean.csv"
+        write_csv(stream, path)
+
+        def fail(path):
+            raise AssertionError("row reader used on a clean file")
+
+        monkeypatch.setattr(environments, "_read_rows", fail)
+        assert load_csv(path).matrix.tobytes() == stream.matrix.tobytes()
 
 
 def test_loss_lookup_is_zero_based_rounds():

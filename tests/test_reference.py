@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scalefree_bandit import reference
 from scalefree_bandit.competitions import fixed_arm_model, fixed_share_model, switch_count
 from scalefree_bandit.core import mixture_coefficient, sample_arm
 from scalefree_bandit.environments import scripted
@@ -104,6 +105,22 @@ class TestSequenceMixture:
             sequence_mixture_oracle(model, losses, np.zeros(25, dtype=int), 1.0)
 
 
+def forward_dp_optimum(matrix: np.ndarray, k: int) -> float:
+    """Optimal loss with at most k switches from a prefix DP over (arm at t,
+    switches used), O(T*M^2*k), written independently of the suffix pass."""
+    horizon, n_arms = matrix.shape
+    prefix = np.full((n_arms, k + 1), np.inf)
+    prefix[:, 0] = matrix[0]
+    for t in range(1, horizon):
+        nxt = prefix.copy()
+        for m in range(n_arms):
+            for m_prev in range(n_arms):
+                if m_prev != m:
+                    np.minimum(nxt[m, 1:], prefix[m_prev, :-1], out=nxt[m, 1:])
+        prefix = nxt + matrix[t][:, None]
+    return float(prefix.min())
+
+
 class TestBestFixedArm:
     def test_zero_matrix_tie_breaks_low(self):
         arm, loss = best_fixed_arm(scripted(np.zeros((4, 3))))
@@ -190,28 +207,40 @@ class TestBestSwitchingSequence:
         assert all(a >= b for a, b in zip(losses, losses[1:]))
 
     def test_matches_forward_dp(self):
-        # prefix DP over (arm at t, switches used), O(T*M^2*k), written
-        # independently of the suffix table; enumeration cannot reach T=200
+        # enumeration cannot reach T=200
         rng = make_generator(8)
         horizon, n_arms = 200, 5
         for k in (0, 1, 4, 10):
             matrix = rng.random((horizon, n_arms))
-            prefix = np.full((n_arms, k + 1), np.inf)
-            prefix[:, 0] = matrix[0]
-            for t in range(1, horizon):
-                nxt = np.full((n_arms, k + 1), np.inf)
-                for m in range(n_arms):
-                    for j in range(k + 1):
-                        best = prefix[m, j]
-                        if j > 0:
-                            for m_prev in range(n_arms):
-                                if m_prev != m:
-                                    best = min(best, prefix[m_prev, j - 1])
-                        nxt[m, j] = best + matrix[t, m]
-                prefix = nxt
             path, loss = best_switching_sequence(scripted(matrix), k)
             assert switch_count(path) <= k
-            assert loss == pytest.approx(prefix.min(), rel=1e-12)
+            assert loss == pytest.approx(forward_dp_optimum(matrix, k), rel=1e-12)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 255, 256, 257, 513])
+    @pytest.mark.parametrize("kind", ["continuous", "ties"])
+    def test_block_edges(self, horizon, kind, monkeypatch):
+        # horizons around the pass's 256-round blocks, budgets up to past T - 1
+        rng = make_generator(horizon)
+        for k in sorted({0, 1, horizon - 1, horizon + 5}):
+            if kind == "continuous":
+                matrix = rng.random((horizon, 3))
+            else:
+                matrix = rng.integers(0, 3, size=(horizon, 3)).astype(np.float64)
+            stream = scripted(matrix)
+            path, loss = best_switching_sequence(stream, k)
+            assert switch_count(path) <= k
+            assert loss == path_loss(stream, path)
+            if 3 ** horizon <= 2 ** 20:
+                bf_path, bf_loss = enumerate_best_sequence(stream, k)
+                assert np.array_equal(path, bf_path) and loss == bf_loss
+            elif kind == "ties":  # integer sums are exact
+                assert loss == forward_dp_optimum(matrix, k)
+            else:
+                assert loss == pytest.approx(forward_dp_optimum(matrix, k), rel=1e-12)
+            for block in (1, 7, horizon):  # the path does not depend on where blocks end
+                monkeypatch.setattr(reference, "_BLOCK", block)
+                assert np.array_equal(best_switching_sequence(stream, k)[0], path)
+            monkeypatch.undo()
 
     def test_peak_memory_without_float_table(self):
         # the walk keeps per-round bits, not a (T+1, M, k+1) float table (13.7 MB here)
