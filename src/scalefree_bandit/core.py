@@ -108,10 +108,6 @@ def selection_probabilities(p: np.ndarray, eps: float) -> np.ndarray:
 # batch. These helpers take the plain Python route for scalars: numpy's
 # per-call overhead on scalars would otherwise dominate a one-learner round.
 
-def _all(mask) -> bool:
-    return np.count_nonzero(mask) == mask.size if isinstance(mask, np.ndarray) else bool(mask)
-
-
 def _where(mask, a, b):
     if isinstance(mask, np.ndarray):
         return np.where(mask, a, b)
@@ -141,8 +137,8 @@ def _arm_sum(x: np.ndarray):
     ``(runs, M)`` copy.
     """
     if x.ndim == 1 or x.shape[0] < 8:
-        return x.sum(axis=0)
-    return np.ascontiguousarray(x.T).sum(axis=1)
+        return np.add.reduce(x, axis=0)  # what ndarray.sum runs, without its wrapper
+    return np.add.reduce(np.ascontiguousarray(x.T), axis=1)
 
 
 def check_rates(rates, denom) -> None:
@@ -166,7 +162,11 @@ def check_rates(rates, denom) -> None:
 
 def check_mass(total) -> None:
     """Raise unless every weight mass (sum of exp(log-weights)) is in (0, inf)."""
-    if not _all((total > 0.0) & (total < math.inf)):
+    if isinstance(total, np.ndarray):
+        ok = np.count_nonzero((total > 0.0) & (total < math.inf)) == total.size
+    else:  # one learner: plain comparisons, no mask
+        ok = 0.0 < total < math.inf
+    if not ok:
         raise NumericalDegeneracyError("weight mass vanished or is not finite")
 
 
@@ -194,7 +194,7 @@ def arm_probabilities(log_w: np.ndarray) -> np.ndarray:
 def sample_arm(q: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF draw over arms in ascending index order (one uniform)."""
     u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(q), u, side="right"))
+    idx = int(q.cumsum().searchsorted(u, "right"))
     return min(idx, q.shape[0] - 1)
 
 
@@ -283,11 +283,13 @@ def fixed_share(z: np.ndarray, total, alpha: float) -> np.ndarray:
     Each arm keeps 1 - alpha of its weight and receives alpha / (M - 1) of
     every other arm's: (1 - alpha) z + alpha / (M - 1) (total - z), where
     ``total`` is the sum of ``z`` over the arms, axis 0 (Herbster & Warmuth,
-    "Tracking the best expert", 1998). All terms are non-negative.
+    "Tracking the best expert", 1998). All terms are non-negative. ``z`` is
+    overwritten (scaled by 1 - alpha).
     """
     w = total - z
     w *= alpha / (z.shape[0] - 1)
-    w += (1.0 - alpha) * z
+    z *= 1.0 - alpha
+    w += z
     return w
 
 
@@ -326,7 +328,8 @@ def weight_step(model: CompetitionModel, log_w: np.ndarray, sel, exponent, power
     else:
         w = fixed_share(z, total, model.alpha)
         total_out = _arm_sum(w)
-        log_next = np.log(w / total_out)
+        w /= total_out
+        log_next = np.log(w, out=w)
     p = _normalized(log_next, check=not batch)
     if batch:
         return log_next, p, None, None

@@ -21,6 +21,8 @@ import numpy as np
 from .rng import make_generator
 
 _INT64_MAX = np.iinfo(np.int64).max
+# Noise values drawn per block (512 KB): the matrix is the only (T, M) array a stream builds.
+_NOISE_BLOCK_VALUES = 65536
 
 
 class LossStream:
@@ -32,7 +34,8 @@ class LossStream:
             raise ValueError("loss matrix must be 2-D (rounds x arms)")
         if matrix.shape[0] < 1 or matrix.shape[1] < 2:
             raise ValueError(f"need at least 1 round and 2 arms, got shape {matrix.shape}")
-        if not np.isfinite(matrix).all():
+        # NaN propagates through both reductions and +-inf is one of them: no (T, M) mask
+        if not (math.isfinite(matrix.min()) and math.isfinite(matrix.max())):
             raise ValueError("losses must be finite")
         matrix.setflags(write=False)
         self._matrix = matrix
@@ -79,9 +82,13 @@ def piecewise_stationary(
     horizon. Noise is uniform on [-noise_width/2, +noise_width/2] so the
     true loss range stays finite and exactly computable. Deterministic for
     a given seed.
+
+    The noise is drawn and added a block of rows at a time, in row-major
+    order from one generator. Successive Philox draws continue one stream,
+    so the matrix has the bits of a single ``(horizon, n_arms)`` draw.
     """
-    if noise_width < 0:
-        raise ValueError("noise_width must be >= 0")
+    if not 0 <= noise_width < math.inf:
+        raise ValueError(f"noise_width must be finite and >= 0, got {noise_width}")
     lengths = [int(length) for length, _ in segments]
     if any(length < 1 for length in lengths):
         raise ValueError("segment lengths must be >= 1")
@@ -96,7 +103,10 @@ def piecewise_stationary(
     matrix = np.repeat(np.stack(stacked), lengths, axis=0)
     if noise_width > 0:
         rng = make_generator(seed)
-        matrix += rng.uniform(-noise_width / 2, noise_width / 2, size=(horizon, n_arms))
+        rows = max(1, _NOISE_BLOCK_VALUES // n_arms)
+        for lo in range(0, horizon, rows):
+            block = matrix[lo:lo + rows]
+            block += rng.uniform(-noise_width / 2, noise_width / 2, size=block.shape)
     return LossStream(matrix)
 
 

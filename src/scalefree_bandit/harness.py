@@ -81,10 +81,20 @@ _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _convert(key: str, raw: str):
-    if key in ("M", "T", "runs", "seed", "env_seed"):
+    if key in ("M", "T", "runs"):
         return int(raw)
+    if key in ("seed", "env_seed"):
+        value = int(raw)
+        if value < 0:
+            raise ValueError(f"must be >= 0, got {value}")
+        if key == "env_seed" and value >= 2 ** 64:  # the noise generator's uint64 key
+            raise ValueError(f"must be < 2**64, got {value}")
+        return value
     if key == "noise_width":
-        return float(raw)
+        value = float(raw)
+        if not 0 <= value < math.inf:
+            raise ValueError(f"must be finite and >= 0, got {value}")
+        return value
     if key == "gamma":
         if raw == "auto":
             return raw
@@ -291,10 +301,10 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
 
     Run r draws its arms from the spawned stream (base_seed, r). Each run
     goes through :func:`~scalefree_bandit.core.round_step` as a sequential
-    :class:`~scalefree_bandit.core.ScaleFreeBandit` does: the same arms and
-    running minima, probabilities and rates equal up to how numpy rounds
-    batched and one-row transcendentals (a few ulp at most). A run's bits do
-    not depend on how many runs share its batch.
+    :class:`~scalefree_bandit.core.ScaleFreeBandit` does, and gets the same
+    bits: arms, running minima, rates and final probabilities (the tests
+    compare their bytes). A run's bits do not depend on how many runs share
+    its batch.
 
     The state is arm-major, ``(M, runs)``: each run is a column, so the
     reductions over the arms walk contiguous rows, and every per-run value

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from scalefree_bandit.environments import (
     write_csv,
 )
 from scalefree_bandit.reference import best_fixed_arm, best_switching_sequence
+from scalefree_bandit.rng import make_generator
 
 
 class TestPiecewise:
@@ -41,6 +44,11 @@ class TestPiecewise:
         stream = piecewise_stationary(2, 500, [(500, [0.5, 0.5])], 0.2, seed=3)
         assert stream.matrix.min() >= 0.4 and stream.matrix.max() <= 0.6
 
+    @pytest.mark.parametrize("width", [-0.1, np.nan, np.inf])
+    def test_bad_noise_width_rejected(self, width):
+        with pytest.raises(ValueError, match="noise_width"):
+            piecewise_stationary(2, 4, [(4, [0.0, 1.0])], width, seed=0)
+
     def test_switching_oracle_beats_fixed_on_swapped_segments(self):
         stream = piecewise_stationary(
             2, 100, [(50, [0.0, 1.0]), (50, [1.0, 0.0])], 0.0, seed=0
@@ -49,6 +57,42 @@ class TestPiecewise:
         _, switch_loss = best_switching_sequence(stream, 1)
         assert switch_loss < fixed_loss
         assert switch_loss == 0.0 and fixed_loss == 50.0
+
+
+def _two_segments(n_arms, horizon):
+    """Random means for the first third of the rounds and for the rest (one segment at T=1)."""
+    means = np.random.default_rng(n_arms).random((2, n_arms))
+    first = max(1, horizon // 3)
+    return [(first, means[0])] + ([(horizon - first, means[1])] if horizon > first else [])
+
+
+class TestNoiseBlocks:
+    """The noise is added a block of rows at a time, and only the matrix is full-size."""
+
+    # 256 arms: 256-row blocks, crossed at 255/256/257/513; 7 arms: 9362-row blocks;
+    # 70000 arms: more than one block's values in a row, so each block is one row
+    @pytest.mark.parametrize("n_arms,horizon,seed", [
+        (256, 1, 0), (256, 255, 1), (256, 256, 2), (256, 257, 3), (256, 513, 4),
+        (7, 1001, 5), (7, 20_000, 6), (70_000, 3, 7),
+    ])
+    def test_blocked_noise_has_the_one_shot_bytes(self, n_arms, horizon, seed):
+        segments = _two_segments(n_arms, horizon)
+        width = 0.3
+        means = np.repeat(np.stack([m for _, m in segments]), [n for n, _ in segments], axis=0)
+        expected = means + make_generator(seed).uniform(-width / 2, width / 2,
+                                                        size=(horizon, n_arms))
+        stream = piecewise_stationary(n_arms, horizon, segments, width, seed)
+        assert stream.matrix.tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_the_matrix_plus_one_block(self):
+        segments = _two_segments(256, 20_000)
+        tracemalloc.start()
+        try:
+            stream = piecewise_stationary(256, 20_000, segments, 0.2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stream.matrix.nbytes + 2_000_000, (peak, stream.matrix.nbytes)
 
 
 class TestScripted:
@@ -61,6 +105,19 @@ class TestScripted:
             scripted([[0.0, np.inf]])
         with pytest.raises(ValueError):
             scripted([[0.0, np.nan]])
+
+    @pytest.mark.parametrize("cell", [(0, 0), (-1, -1)], ids=["first", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_single_nonfinite_cell_rejected(self, bad, cell):
+        matrix = np.ones((5, 3))
+        matrix[cell] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LossStream(matrix)
+
+    def test_extreme_finite_values_accepted(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]
+        matrix = np.array([values, values[::-1]])
+        assert LossStream(matrix).matrix.tobytes() == matrix.tobytes()
 
     def test_alternating_two_arm(self):
         horizon = 10

@@ -188,10 +188,8 @@ def assert_engine_matches_sequential(model, stream):
     assert np.array_equal(vec.arms, seq.arms)
     assert np.array_equal(vec.psi, seq.psi)
     assert np.array_equal(vec.eps, seq.eps)
-    finite = np.isfinite(seq.eta)
-    assert np.array_equal(finite, np.isfinite(vec.eta))
-    assert np.allclose(vec.eta[finite], seq.eta[finite], rtol=1e-12, atol=0)
-    assert np.allclose(vec.final_probs, seq.final_probs, rtol=1e-11, atol=1e-13)
+    assert vec.eta.tobytes() == seq.eta.tobytes()
+    assert vec.final_probs.tobytes() == seq.final_probs.tobytes()
 
 
 class TestEngineEquivalence:
@@ -211,7 +209,8 @@ class TestEngineEquivalence:
         seq = simulate_runs_sequential(model, 3.75, stream, base_seed=2024, runs=2)
         assert np.array_equal(vec.arms, seq.arms)
         assert np.array_equal(vec.psi, seq.psi)
-        assert np.allclose(vec.final_probs, seq.final_probs, rtol=1e-10, atol=1e-12)
+        assert vec.eta.tobytes() == seq.eta.tobytes()
+        assert vec.final_probs.tobytes() == seq.final_probs.tobytes()
 
     def test_derived_losses_and_psi_equal_learners_bits(self):
         # the record derives losses and the running minimum from the arms;
@@ -956,6 +955,38 @@ class TestCli:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert str(path) in captured.err
         assert "bound=" not in captured.out
+
+    @staticmethod
+    def assert_key_error(capsys, config_file, override, key):
+        code = cli.main(["run", "--config", str(config_file), "--override", override])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: bad value for key '{key}': ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_nan_noise_width_names_its_key(self, capsys, config_file):
+        self.assert_key_error(capsys, config_file, "noise_width=nan", "noise_width")
+
+    def test_infinite_noise_width_names_its_key(self, capsys, config_file):
+        self.assert_key_error(capsys, config_file, "noise_width=inf", "noise_width")
+
+    def test_negative_noise_width_names_its_key(self, capsys, config_file):
+        self.assert_key_error(capsys, config_file, "noise_width=-0.5", "noise_width")
+
+    def test_negative_seed_names_its_key(self, capsys, config_file):
+        self.assert_key_error(capsys, config_file, "seed=-1", "seed")
+
+    def test_negative_env_seed_names_its_key(self, capsys, config_file):
+        self.assert_key_error(capsys, config_file, "env_seed=-5", "env_seed")
+
+    def test_env_seed_past_uint64_names_its_key(self, capsys, config_file):
+        self.assert_key_error(capsys, config_file, f"env_seed={2 ** 64}", "env_seed")
+
+    def test_largest_env_seed_runs(self, capsys, config_file):
+        code = cli.main(["run", "--config", str(config_file),
+                         "--override", f"env_seed={2 ** 64 - 1}", "--override", "runs=1"])
+        assert code == 0 and "bound=" in capsys.readouterr().out
 
     def test_missing_config_exit_code(self, tmp_path, capfd):
         path = tmp_path / "absent.cfg"
