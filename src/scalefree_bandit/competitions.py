@@ -100,6 +100,18 @@ def switch_count(path) -> int:
     return int(np.count_nonzero(path[1:] != path[:-1]))
 
 
+def _log_switch_cost(n_arms: int, alpha: float) -> float:
+    """log((n_arms - 1) / alpha), as a difference of logs only where the quotient overflows.
+
+    That happens only for subnormal alphas; every other alpha keeps the bits
+    of the single log.
+    """
+    quotient = (n_arms - 1) / alpha
+    if quotient < math.inf:
+        return math.log(quotient)
+    return math.log(n_arms - 1) - math.log(alpha)
+
+
 def _path_complexity(model: CompetitionModel, horizon: int, switches: int) -> float:
     """log space size - log prior of the first arm (uniform: + log M) - log
     transitions of a path with `switches` changes; +inf where the model
@@ -109,7 +121,7 @@ def _path_complexity(model: CompetitionModel, horizon: int, switches: int) -> fl
     head = log_space + math.log(n)
     if model.alpha is None:
         return head if switches == 0 else math.inf
-    per_switch = math.log((n - 1) / model.alpha)
+    per_switch = _log_switch_cost(n, model.alpha)
     per_stay = -math.log1p(-model.alpha)
     return head + switches * per_switch + (horizon - 1 - switches) * per_stay
 
@@ -143,7 +155,7 @@ def complexity_budget(model: CompetitionModel, horizon: int, switches: int) -> f
     # linear in the switch count k, so the largest value is at k = 0 or k = switches;
     # an identity model only realizes k = 0
     grows = (model.alpha is not None
-             and math.log((n - 1) / model.alpha) > -math.log1p(-model.alpha))
+             and _log_switch_cost(n, model.alpha) > -math.log1p(-model.alpha))
     return _path_complexity(model, horizon, switches if grows else 0)
 
 

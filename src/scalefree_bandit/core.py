@@ -352,7 +352,7 @@ def round_step(model: CompetitionModel, log_w: np.ndarray, p: np.ndarray, q: np.
     (log_w, p, stats, (log_in, log_out)).
     """
     if isinstance(sel, np.ndarray):
-        q_sel, p_sel = q.reshape(-1)[sel], p.reshape(-1)[sel]
+        q_sel, p_sel = q.take(sel), p.take(sel)
     else:
         q_sel, p_sel = q.item(sel), p.item(sel)
     min_loss, second, spread, rate, exponent, power = adaptive_step(

@@ -81,27 +81,11 @@ _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _convert(key: str, raw: str):
-    if key in ("M", "T", "runs"):
+    """Parse one value; :func:`validate_config` checks its range."""
+    if key in ("M", "T", "runs", "seed", "env_seed"):
         return int(raw)
-    if key in ("seed", "env_seed"):
-        value = int(raw)
-        if value < 0:
-            raise ValueError(f"must be >= 0, got {value}")
-        if key == "env_seed" and value >= 2 ** 64:  # the noise generator's uint64 key
-            raise ValueError(f"must be < 2**64, got {value}")
-        return value
-    if key == "noise_width":
-        value = float(raw)
-        if not 0 <= value < math.inf:
-            raise ValueError(f"must be finite and >= 0, got {value}")
-        return value
-    if key == "gamma":
-        if raw == "auto":
-            return raw
-        value = float(raw)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError("must be finite and positive")
-        return value
+    if key == "noise_width" or (key == "gamma" and raw != "auto"):
+        return float(raw)
     return raw
 
 
@@ -118,7 +102,9 @@ def apply_overrides(cfg: ExperimentConfig, pairs: list[str]) -> ExperimentConfig
             updates[key] = _convert(key, raw.strip())
         except ValueError as exc:
             raise ConfigError(f"bad value for key {key!r}: {exc}") from None
-    return replace(cfg, **updates)
+    cfg = replace(cfg, **updates)
+    validate_config(cfg)
+    return cfg
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -131,18 +117,33 @@ def parse_config(path) -> ExperimentConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
             pairs.append(line)
-    cfg = apply_overrides(ExperimentConfig(), pairs)
-    validate_config(cfg)
-    return cfg
+    return apply_overrides(ExperimentConfig(), pairs)
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Raise :class:`ConfigError` naming the first key whose value is out of range.
+
+    Parsed and overridden configs are checked here, and so is a config
+    built in Python, which :func:`run_experiment` checks before any work.
+    """
     if cfg.M < 2:
         raise ConfigError(f"key 'M': need at least 2 arms, got {cfg.M}")
     if cfg.T < 1:
         raise ConfigError(f"key 'T': horizon must be >= 1, got {cfg.T}")
     if cfg.runs < 1:
         raise ConfigError(f"key 'runs': must be >= 1, got {cfg.runs}")
+    for key, value in (("seed", cfg.seed), ("env_seed", cfg.env_seed)):
+        if value < 0:
+            raise ConfigError(f"bad value for key {key!r}: must be >= 0, got {value}")
+    if cfg.env_seed >= 2 ** 64:  # the noise generator's uint64 key
+        raise ConfigError(f"bad value for key 'env_seed': must be < 2**64, got {cfg.env_seed}")
+    if not 0 <= cfg.noise_width < math.inf:
+        raise ConfigError(
+            f"bad value for key 'noise_width': must be finite and >= 0, got {cfg.noise_width}")
+    if cfg.gamma != "auto" and not (math.isfinite(cfg.gamma) and cfg.gamma > 0):
+        raise ConfigError(f"bad value for key 'gamma': must be finite and positive, got {cfg.gamma}")
+    if cfg.output == "":
+        raise ConfigError("bad value for key 'output': must be a path prefix, got ''")
 
 
 def parse_segments(spec: str, n_arms: int) -> list[tuple[int, list[float]]]:
@@ -252,12 +253,14 @@ def _mapped(shape: tuple, dtype) -> np.ndarray:
 class SimulationRecord:
     """Per-round, per-run trajectories of a Monte Carlo sweep.
 
-    Only the arms and the rates are stored per run and round (10 bytes with
-    int16 arms). The incurred losses and the running minimum follow from
-    the arms and the loss stream, and are computed on access, a run at a
-    time: one gather of the whole record would first cast the arms to a
-    ``(runs, T)`` index array. Every ``(runs, T)`` array is mapped outside
-    the heap (:func:`_mapped`).
+    Only the arms and the rates are stored per run and round: 9 bytes up to
+    256 arms, whose indices are unsigned and as narrow as fit
+    (:func:`_arm_dtype`). The incurred losses and the running minimum
+    follow from the arms and the loss stream, and are computed on access, a
+    run at a time: one gather of the whole record would first cast the arms
+    to a ``(runs, T)`` index array. Every ``(runs, T)`` array is mapped
+    outside the heap (:func:`_mapped`). The engine writes the arms and the
+    rates a block of rounds at a time.
     """
 
     arms: np.ndarray       # (runs, T) selected arm per round
@@ -291,8 +294,11 @@ class SimulationRecord:
 
 
 def _arm_dtype(n_arms: int):
-    """Smallest of int16/int32 that holds every arm index."""
-    return np.int16 if n_arms - 1 <= np.iinfo(np.int16).max else np.int32
+    """Smallest unsigned integer type that holds every arm index: uint8 up to 256 arms.
+
+    Readers widen before any arithmetic (a uint8 ``arms + 1`` wraps 255 to 0).
+    """
+    return np.min_scalar_type(n_arms - 1)
 
 
 def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
@@ -312,14 +318,16 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
     :func:`~scalefree_bandit.core.draw_arms`, one uniform per run.
 
     The rounds go in blocks of ``_BLOCK_ROUNDS``. Beside the record (mapped
-    outside the heap) and the state, the engine holds one block of
-    uniforms, a block by ``runs``: each run's generator refills its column
-    every block, and successive Philox draws continue one stream, so the
-    doubles are those of a single ``random(T)`` call. The rate is written as
-    computed, and the NaN of the degenerate prefix becomes ``inf`` once per
-    block, on that block's columns. A block that starts with no run in the
-    degenerate prefix tells the kernel so (``settled``), which skips the
-    prefix's selections.
+    outside the heap) and the state, the engine holds three round-major
+    buffers of a block by ``runs``: the uniforms, the arms and the rates.
+    Each run's generator refills its column of uniforms every block, and
+    successive Philox draws continue one stream, so the doubles are those
+    of a single ``random(T)`` call. Each round writes one contiguous row of
+    arms and of rates as computed. Once per block, after the checks below,
+    the NaN of the degenerate prefix becomes ``inf`` in the rate buffer, and
+    both buffers are copied, transposed, into the block's columns of the
+    record. A block that starts with no run in the degenerate prefix tells
+    the kernel so (``settled``), which skips the prefix's selections.
 
     The kernel's range checks run once per block, not per round: on the
     block's rates and on the state after its last round
@@ -342,7 +350,8 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
     A block that fails is played again from its saved start with both
     checks after every round, rate first, as one learner runs them, so the
     error raised is the first failing check in round order, no later than
-    the block's end. The record is dropped with it.
+    the block's end, and before the block reaches the record, which is
+    dropped with it.
     """
     n_arms = model.n_arms
     matrix = stream.matrix
@@ -353,7 +362,9 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
     eps_hist = np.empty(horizon)
 
     block = min(_BLOCK_ROUNDS, horizon)
-    uniforms = np.empty((block, runs))  # round-major: each round reads one row
+    # round-major: each round reads one row of uniforms and writes one row of arms and rates
+    uniforms, eta_buf = np.empty((block, runs)), np.empty((block, runs))
+    arm_buf = np.empty((block, runs), arms.dtype)
     generators = (run_generator(base_seed, r) for r in range(runs))
     if horizon > block:
         generators = list(generators)  # kept for the refills; a single block needs none
@@ -364,19 +375,22 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
         arm_probabilities(log_w)  # raises on a bad weight mass
 
     def play(lo, hi, log_w, p, stats, checked):
-        """Rounds lo..hi-1 from the given state (whose log_w they overwrite)."""
+        """Rounds lo..hi-1 from the given state (whose log_w they overwrite), into the buffers."""
         settled = not np.isnan(stats[3]).any()
         for t in range(lo, hi):
             eps = mixture_coefficient(t + 1, n_arms)
             q = selection_probabilities(p, eps)
             arm = draw_arms(q, uniforms[t - lo])
-            log_w, p, stats, _ = round_step(model, log_w, p, q, arm * runs + rows,
-                                            matrix[t, arm], stats, gamma, settled=settled)
-            arms[:, t] = arm
-            eta[:, t] = stats[3]
+            arm_buf[t - lo] = arm
+            loss = matrix[t].take(arm)
+            arm *= runs
+            arm += rows  # the flat index into the (M, runs) state
+            log_w, p, stats, _ = round_step(model, log_w, p, q, arm, loss, stats, gamma,
+                                            settled=settled)
+            eta_buf[t - lo] = stats[3]
             eps_hist[t] = eps
             if checked:
-                check(eta[:, t:t + 1], log_w, stats)
+                check(eta_buf[t - lo:t - lo + 1].T, log_w, stats)
         return log_w, p, stats
 
     log_w = np.repeat(model.log_prior[:, None], runs, axis=1)
@@ -388,16 +402,18 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
         start = (state[0].copy(),) + state[1:]
         with np.errstate(all="ignore"):  # past a failure; the replay warns as the caller asks
             state = play(lo, hi, *state, checked=False)
-        slab = eta[:, lo:hi]
+        rates = eta_buf[:hi - lo]
         failure = None
         try:
-            check(slab, state[0], state[2])
+            check(rates.T, state[0], state[2])
         except NumericalDegeneracyError as exc:
             failure = exc
         if failure is not None:
             play(lo, hi, *start, checked=True)  # raises the first failing check
             raise failure
-        np.copyto(slab, np.inf, where=np.isnan(slab))  # the degenerate prefix
+        np.copyto(rates, np.inf, where=np.isnan(rates))  # the degenerate prefix
+        arms[:, lo:hi] = arm_buf[:hi - lo].T
+        eta[:, lo:hi] = rates.T
 
     return SimulationRecord(arms, eta, eps_hist, np.ascontiguousarray(state[1].T), matrix)
 

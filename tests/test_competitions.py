@@ -161,6 +161,28 @@ class TestComplexityBudget:
             math.sqrt(complexity_budget(model, 100, 1)), rel=1e-15
         )
 
+    # pinned bits: an ordinary alpha takes log((M - 1) / alpha) as one log
+    @pytest.mark.parametrize("alpha,m4_k1,m8_k20", [
+        (1e-4, 3.752518004782521, 15.108998755785116),
+        (0.002, 5.486513629867287, 13.687484527244457),
+        (0.5, 83.27454508689796, 83.50961468288163),
+        (0.9, 151.74426161660844, 151.74882941206113),
+    ])
+    def test_default_gamma_keeps_its_bits(self, alpha, m4_k1, m8_k20):
+        assert default_gamma(fixed_share_model(4, alpha), 10_000, 1) == m4_k1
+        assert default_gamma(fixed_share_model(8, alpha), 10_000, 20) == m8_k20
+
+    @pytest.mark.parametrize("alpha", [1e-320, 5e-324])
+    def test_default_gamma_finite_at_subnormal_alpha(self, alpha):
+        # (M - 1) / alpha overflows; its log does not
+        model = fixed_share_model(4, alpha)
+        gamma = default_gamma(model, 10_000, 1)
+        assert math.isfinite(gamma)
+        per_switch = math.log(3) - math.log(alpha)
+        assert complexity_budget(model, 10_000, 1) == pytest.approx(
+            2 * math.log(4) + per_switch - 9_998 * math.log1p(-alpha), rel=1e-15)
+        assert complexity(model, [0, 1] + [1] * 9_998) == complexity_budget(model, 10_000, 1)
+
     def test_bad_arguments(self):
         model = fixed_arm_model(2)
         with pytest.raises(ValueError):

@@ -89,6 +89,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="'runs'"):
             run_experiment(ExperimentConfig(M=2, T=5, runs=0))
 
+    # a config built in Python does not go through the parser's conversions
+    @pytest.mark.parametrize("key,value", [
+        ("seed", -1), ("env_seed", -3), ("noise_width", math.nan), ("gamma", -1.0)])
+    def test_python_config_names_its_key(self, key, value):
+        cfg = replace(ExperimentConfig(M=2, T=4, segments="4@0|1", noise_width=0.1), **{key: value})
+        with pytest.raises(ConfigError, match=f"^bad value for key '{key}': "):
+            run_experiment(cfg)
+
     def test_bad_segment_grammar(self):
         cfg = ExperimentConfig(M=2, T=4, runs=1, segments="4@0.1|0.2|0.3")
         with pytest.raises(ConfigError, match="segments"):
@@ -264,6 +272,21 @@ class TestEngineEquivalence:
         assert vec.arms.max() > np.iinfo(np.int16).max
         assert np.array_equal(vec.arms, seq.arms)
         assert np.array_equal(vec.losses, vec.arms.astype(np.float64))
+        assert np.array_equal(seq.losses, seq.arms.astype(np.float64))
+
+    # the base seeds draw the last arm, whose index the next narrower type would wrap
+    @pytest.mark.parametrize("n_arms,dtype,base_seed", [
+        (256, np.uint8, 109), (257, np.uint16, 109), (65537, np.uint32, 15835)])
+    def test_arm_dtype_boundaries(self, n_arms, dtype, base_seed):
+        # loss = arm index, so a wrapped arm would show as a wrong loss
+        stream = scripted(np.tile(np.arange(n_arms, dtype=np.float64), (3, 1)))
+        model = fixed_share_model(n_arms, 0.01)
+        vec = simulate_runs(model, 1.0, stream, base_seed=base_seed, runs=2)
+        seq = simulate_runs_sequential(model, 1.0, stream, base_seed=base_seed, runs=2)
+        assert vec.arms.dtype == dtype
+        assert (vec.arms == n_arms - 1).any()
+        assert np.array_equal(vec.arms, seq.arms)
+        assert vec.losses.tobytes() == seq.losses.tobytes()
         assert np.array_equal(seq.losses, seq.arms.astype(np.float64))
 
     def test_overflowing_losses_raise_named_error(self):
@@ -505,7 +528,7 @@ class TestRunExperiment:
         assert self.traced_peak(cfg) < cfg.runs * cfg.T * 8 + 32 * cfg.runs * cfg.M * 8
 
     def test_record_stores_no_other_run_round_array(self):
-        # 10 bytes per run-round: the int16 arms and the float64 rates;
+        # 9 bytes per run-round: the uint8 arms and the float64 rates;
         # losses and psi are computed from the arms and the stream's matrix
         cfg = ExperimentConfig(
             M=4, T=50, runs=3, seed=5, gamma=1.0, model="switching:0.01",
@@ -517,7 +540,7 @@ class TestRunExperiment:
         per_run_round = {name for name, value in stored.items()
                          if isinstance(value, np.ndarray) and value.shape == (cfg.runs, cfg.T)}
         assert per_run_round == {"arms", "eta"}
-        assert record.arms.itemsize + record.eta.itemsize == 10
+        assert record.arms.itemsize + record.eta.itemsize == 9
         assert np.array_equal(record.matrix, build_stream(cfg).matrix)
         assert not record.matrix.flags.writeable
         assert record.losses.shape == record.psi.shape == (cfg.runs, cfg.T)
@@ -654,18 +677,22 @@ class TestCsvWriters:
         assert np.isinf(record.eta[:, 0]).all()
         self.assert_same_bytes(tmp_path, monkeypatch, record, comp_path, comp_losses)
 
-    def test_largest_int16_arm(self, tmp_path, monkeypatch):
-        # M = 32768 stores arms as int16, so arm index 32767 is written as 32768
-        arms = np.array([[32767, 0], [5, 32767]], dtype=np.int16)
-        matrix = np.zeros((2, 32768))
-        matrix[0, [5, 32767]] = [2.5, 0.5]
-        matrix[1, [0, 32767]] = [1.5, -1.0]
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_largest_arm_of_its_dtype(self, tmp_path, monkeypatch, dtype):
+        # M = 256 stores arms as uint8 and M = 65536 as uint16, so the last arm
+        # index, 255 or 65535, is written as 256 or 65536, not wrapped to 0
+        top = int(np.iinfo(dtype).max)
+        assert harness._arm_dtype(top + 1) == dtype
+        arms = np.array([[top, 0], [5, top]], dtype=dtype)
+        matrix = np.zeros((2, top + 1))
+        matrix[0, [5, top]] = [2.5, 0.5]
+        matrix[1, [0, top]] = [1.5, -1.0]
         matrix.setflags(write=False)
         record = SimulationRecord(arms, np.array([[1.5, 2.5], [3.5, 0.0]]),
                                   np.array([0.5, 0.25]), np.zeros((2, 2)), matrix)
-        comp_path = np.array([32767, 1], dtype=np.intp)
+        comp_path = np.array([top, 1], dtype=np.intp)
         self.assert_same_bytes(tmp_path, monkeypatch, record, comp_path, np.array([0.5, 0.125]))
-        assert b"\n0,0,32768,0.5," in (tmp_path / "fast.csv").read_bytes()
+        assert b"\n0,0,%d,0.5," % (top + 1) in (tmp_path / "fast.csv").read_bytes()
 
     def test_affine_experiment(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig(
@@ -768,7 +795,7 @@ class TestCsvWriters:
     def record_of(matrix, arms, eps):
         matrix = np.array(matrix, dtype=np.float64)
         matrix.setflags(write=False)
-        arms = np.array(arms, dtype=np.int16)
+        arms = np.array(arms, dtype=harness._arm_dtype(matrix.shape[1]))
         eta = np.random.default_rng(8).random(arms.shape) * 3.0
         eta[:, :5] = np.inf  # the degenerate prefix
         return SimulationRecord(arms, eta, np.array(eps, dtype=np.float64),
@@ -792,7 +819,7 @@ class TestCsvWriters:
             matrix[first + 1, 0] = matrix[first, 1] = 0.0
         # runs 0 and 1 meet their first zero at 100 (psi's text is then carried
         # over two block edges), runs 2 and 3 at 255 (carried over one)
-        arms = np.array([[0], [1], [2], [2]], dtype=np.int16).repeat(horizon, axis=1)
+        arms = np.array([[0], [1], [2], [2]], dtype=np.uint8).repeat(horizon, axis=1)
         arms[2:, edge - 1:] = [[0], [1]]
         record = self.record_of(matrix, arms, np.full(horizon, 0.25))
         comp_path = np.full(horizon, 2, dtype=np.intp)
@@ -920,8 +947,8 @@ class TestCli:
         assert "bound=" not in captured.out
 
     def test_memory_error_exit_code(self, capsys, config_file):
-        # 10^15 runs x 200 rounds of int16 arms (355 PiB) exceed even a
-        # 57-bit address space, whatever the overcommit policy
+        # 10^15 runs x 200 rounds of uint8 arms (178 PiB) exceed even a
+        # 57-bit address space (128 PiB), whatever the overcommit policy
         code = cli.main(["run", "--config", str(config_file),
                          "--override", "runs=1000000000000000"])
         captured = capsys.readouterr()
@@ -931,7 +958,7 @@ class TestCli:
         assert "bound=" not in captured.out
 
     def test_memory_error_past_the_size_range(self, capsys, config_file):
-        # 10^17 runs x 200 rounds of int16 arms is more than 2^63 bytes,
+        # 10^17 runs x 200 rounds of uint8 arms is more than 2^63 bytes,
         # which no mapping can even be asked for
         code = cli.main(["run", "--config", str(config_file),
                          "--override", "runs=100000000000000000"])
@@ -982,6 +1009,21 @@ class TestCli:
 
     def test_env_seed_past_uint64_names_its_key(self, capsys, config_file):
         self.assert_key_error(capsys, config_file, f"env_seed={2 ** 64}", "env_seed")
+
+    def test_empty_output_names_its_key(self, capsys, config_file, tmp_path, monkeypatch):
+        # an empty prefix would write _runs.csv and _summary.csv into the working directory
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        self.assert_key_error(capsys, config_file, "output=", "output")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_subnormal_switching_rate_runs(self, capsys, config_file):
+        # (M - 1) / alpha overflows: gamma=auto must still be finite
+        code = cli.main(["run", "--config", str(config_file),
+                         "--override", "model=switching:1e-320", "--override", "runs=2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "bound=" in out and "inf" not in out and "nan" not in out
 
     def test_largest_env_seed_runs(self, capsys, config_file):
         code = cli.main(["run", "--config", str(config_file),
