@@ -56,19 +56,17 @@ class CompetitionModel:
         out.setflags(write=False)
         return out
 
-    def log_transition_matrix(self) -> np.ndarray:
-        """Dense log transitions, entry [prev, next] = log T(next | prev)."""
+    def transition_matrix(self) -> np.ndarray:
+        """Dense transitions, entry [prev, next] = T(next | prev).
+
+        A move of a subnormal alpha may round to 0.0; the row stays stochastic.
+        """
         n = self.n_arms
         if self.alpha is None:
-            stay, move = 0.0, -math.inf
-        else:
-            stay, move = math.log1p(-self.alpha), math.log(self.alpha / (n - 1))
-        out = np.full((n, n), move)
-        np.fill_diagonal(out, stay)
+            return np.eye(n)
+        out = np.full((n, n), self.alpha / (n - 1))
+        np.fill_diagonal(out, 1.0 - self.alpha)
         return out
-
-    def transition_matrix(self) -> np.ndarray:
-        return np.exp(self.log_transition_matrix())
 
 
 def fixed_arm_model(n_arms: int) -> CompetitionModel:

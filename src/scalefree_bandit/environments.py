@@ -224,32 +224,35 @@ def _read_rows(path) -> LossStream:
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "arm", "loss"]:
-            raise ValueError(f"expected header t,arm,loss, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise first_fault(line_no, f"expected 3 fields, got {len(row)}")
-            try:
-                t, arm, loss = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise first_fault(line_no, str(exc)) from None
-            if t < 0:
-                raise first_fault(line_no, f"negative round {t}")
-            if arm < 1:
-                raise first_fault(line_no, f"arms are 1-based, got {arm}")
-            if t > _INT64_MAX:
-                raise first_fault(line_no, f"round {t} does not fit in int64")
-            if arm > _INT64_MAX:
-                raise first_fault(line_no, f"arm {arm} does not fit in int64")
-            if not math.isfinite(loss):
-                raise first_fault(line_no, f"loss must be finite, got {loss}")
-            rounds.append(t)
-            arms.append(arm - 1)
-            losses.append(loss)
-            lines.append(line_no)
+        try:
+            header = next(reader, None)
+            if header != ["t", "arm", "loss"]:
+                raise ValueError(f"expected header t,arm,loss, got {header}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise first_fault(line_no, f"expected 3 fields, got {len(row)}")
+                try:
+                    t, arm, loss = int(row[0]), int(row[1]), float(row[2])
+                except ValueError as exc:
+                    raise first_fault(line_no, str(exc)) from None
+                if t < 0:
+                    raise first_fault(line_no, f"negative round {t}")
+                if arm < 1:
+                    raise first_fault(line_no, f"arms are 1-based, got {arm}")
+                if t > _INT64_MAX:
+                    raise first_fault(line_no, f"round {t} does not fit in int64")
+                if arm > _INT64_MAX:
+                    raise first_fault(line_no, f"arm {arm} does not fit in int64")
+                if not math.isfinite(loss):
+                    raise first_fault(line_no, f"loss must be finite, got {loss}")
+                rounds.append(t)
+                arms.append(arm - 1)
+                losses.append(loss)
+                lines.append(line_no)
+        except csv.Error as exc:  # a field over csv's size limit, among others
+            raise first_fault(reader.line_num, str(exc)) from None
     if not rounds:
         raise ValueError(f"{path}: empty stream")
     error = first_fault()

@@ -188,9 +188,12 @@ def build_stream(cfg: ExperimentConfig) -> LossStream:
     if cfg.affine is not None:
         try:
             a_raw, b_raw = cfg.affine.split(",")
-            stream = environments.affine(stream, float(a_raw), float(b_raw))
+            mapped = environments.affine(stream, float(a_raw), float(b_raw))
         except ValueError as exc:
             raise ConfigError(f"key 'affine': expected 'a,b' with a > 0: {exc}") from None
+        if mapped.range_width() == 0 < stream.range_width():
+            raise ConfigError(f"key 'affine': {cfg.affine!r} rounds every loss to one value")
+        stream = mapped
     return stream
 
 

@@ -1,18 +1,20 @@
-"""Verification oracles and an Exp3 comparison.
+"""Verification oracles, the hindsight competition oracles, and an Exp3 comparison.
 
-Everything here exists to cross-check the optimized core by an independent
-route:
+The oracles cross-check the optimized core by an independent route:
 
 * :class:`DenseReference` -- the bandit recursion transcribed with plain
   nested loops in linear-domain arithmetic, no log-space tricks.
 * :func:`sequence_mixture_oracle` -- for a constant learning rate, the
   weight recursion collapses to an explicit weighting over every arm
   sequence; this enumerates them all.
-* :func:`best_fixed_arm` / :func:`best_switching_sequence` -- hindsight
-  competition oracles (brute force column sums, and a switch-budgeted
-  dynamic program).
-* :func:`run_exp3` -- Exp3, batched over seeds; it *requires* a declared
-  loss range, the assumption the scale-free learner removes.
+* :func:`enumerate_best_sequence` -- brute force over arm sequences, the
+  check of the switch-budget dynamic program.
+
+:func:`best_fixed_arm`, :func:`best_switching_sequence` (brute force column
+sums, and a switch-budgeted dynamic program) and :func:`path_loss` are also
+the competition oracles that ``run`` and ``oracle`` measure regret against.
+:func:`run_exp3` is Exp3, batched over seeds; it *requires* a declared loss
+range, the assumption the scale-free learner removes.
 
 Oracles take scripted arm choices instead of sampling so that comparisons
 against the core are free of RNG effects.
@@ -42,20 +44,20 @@ def path_loss(stream: LossStream, arms) -> float:
 # ---------------------------------------------------------------------------
 
 class DenseReference:
-    """Line-by-line transcription of the bandit round in linear weights.
+    """Line-by-line transcription of the adaptive-rate bandit round in linear weights.
 
-    Same degenerate-rate convention as the core: while the adaptive rate is
-    undefined, the current round's rate is substituted (power ratio 1), and
-    if that is undefined too the exponential step is the identity. Weights
-    are renormalized to sum 1 after each round, which leaves every arm
+    The sharing step multiplies by the model's linear transition matrix
+    (:meth:`CompetitionModel.transition_matrix`). Same degenerate-rate
+    convention as the core: while the adaptive rate is undefined, the
+    current round's rate is substituted (power ratio 1), and if that is
+    undefined too the exponential step is the identity. Weights are
+    renormalized to sum 1 after each round, which leaves every arm
     probability unchanged.
     """
 
-    def __init__(self, model: CompetitionModel, gamma: float | None,
-                 fixed_rate: float | None = None):
+    def __init__(self, model: CompetitionModel, gamma: float):
         self.n_arms = model.n_arms
         self.gamma = gamma
-        self.fixed_rate = fixed_rate
         self.transition = model.transition_matrix().tolist()
         self.weights = [math.exp(lp) for lp in model.log_prior]
         self.t = 1
@@ -78,19 +80,14 @@ class DenseReference:
         self.second_moment += p[arm] * excess * excess
         self.spread_max = max(self.spread_max, excess)
 
-        if self.fixed_rate is not None:
-            rate: float | None = self.fixed_rate
-            exponent_rate: float | None = self.fixed_rate
+        denom = self.second_moment + self.spread_max * self.spread_max
+        rate = None if denom <= 0.0 else self.gamma / math.sqrt(denom)
+        if self.rate_prev is None:
+            exponent_rate = rate
             power = 1.0
         else:
-            denom = self.second_moment + self.spread_max * self.spread_max
-            rate = None if denom <= 0.0 else self.gamma / math.sqrt(denom)
-            if self.rate_prev is None:
-                exponent_rate = rate
-                power = 1.0
-            else:
-                exponent_rate = self.rate_prev
-                power = rate / self.rate_prev
+            exponent_rate = self.rate_prev
+            power = rate / self.rate_prev
 
         z = list(self.weights)
         if excess != 0.0 and exponent_rate:
@@ -110,17 +107,15 @@ class DenseReference:
             w_next[m_next] = acc
         mass_out = sum(w_next)
         self.weights = [w / mass_out for w in w_next]
-        if self.fixed_rate is None:
-            self.rate_prev = rate
+        self.rate_prev = rate
         self.t += 1
         return {"p": p, "conservation": (mass_in, mass_out)}
 
 
-def run_dense(model: CompetitionModel, gamma: float | None, losses: np.ndarray,
-              arms, fixed_rate: float | None = None) -> dict:
+def run_dense(model: CompetitionModel, gamma: float, losses: np.ndarray, arms) -> dict:
     """Run the dense transcription over scripted arms; stacked trajectories."""
     arms = np.asarray(arms, dtype=np.intp)
-    ref = DenseReference(model, gamma, fixed_rate=fixed_rate)
+    ref = DenseReference(model, gamma)
     horizon = arms.shape[0]
     p_hist = np.empty((horizon, model.n_arms))
     conservation = np.empty((horizon, 2))

@@ -8,7 +8,7 @@ are the acceptance settings; the test suite calls these same functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -233,14 +233,13 @@ TWO_SEGMENT_SEGMENTS = "5000@0.25|0.75|0.75|0.75;5000@0.75|0.25|0.75|0.75"
 
 
 def two_segment_config(**overrides) -> ExperimentConfig:
+    """The two-segment bound experiment with `overrides` applied; an unknown key raises TypeError."""
     cfg = ExperimentConfig(
         M=4, T=10_000, runs=200, seed=2024, gamma="auto",
         model="fixed", env="piecewise", env_seed=11, noise_width=0.2,
         segments=TWO_SEGMENT_SEGMENTS, competition="fixed", output=None,
     )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def check_bound(cfg: ExperimentConfig, name: str) -> tuple[CheckResult, RegretReport]:

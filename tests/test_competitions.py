@@ -18,7 +18,7 @@ from scalefree_bandit.rng import make_generator
 class TestFixedArmModel:
     def test_identity_transitions(self):
         model = fixed_arm_model(3)
-        assert np.array_equal(model.transition_matrix(), np.eye(3))
+        assert model.transition_matrix().tobytes() == np.eye(3).tobytes()
 
     def test_uniform_prior(self):
         model = fixed_arm_model(5)
@@ -49,6 +49,19 @@ class TestFixedShareModel:
     def test_rows_are_stochastic(self, n_arms, alpha):
         rows = fixed_share_model(n_arms, alpha).transition_matrix().sum(axis=1)
         assert np.abs(rows - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_arms", [2, 3, 4, 7, 64])
+    def test_rows_sum_to_one_across_alpha(self, n_arms):
+        for alpha in (5e-324, 1e-300, 1e-12, 1e-6, 0.1, 0.5, 1 - 1 / n_arms, 0.9, 1 - 2 ** -53):
+            rows = fixed_share_model(n_arms, alpha).transition_matrix().sum(axis=1)
+            assert np.abs(rows - 1.0).max() <= 1e-15
+
+    def test_entries_are_the_rounded_rates(self):
+        # entry by entry, not through a log: a subnormal move rounds to 0.0
+        for n_arms, alpha in ((3, 0.17), (4, 1e-300), (4, 5e-324)):
+            trans = fixed_share_model(n_arms, alpha).transition_matrix()
+            assert (np.diag(trans) == 1.0 - alpha).all()
+            assert (trans[~np.eye(n_arms, dtype=bool)] == alpha / (n_arms - 1)).all()
 
     def test_small_alpha_recovers_identity(self):
         near = fixed_share_model(4, 1e-12).transition_matrix()
@@ -95,7 +108,7 @@ class TestComplexity:
         # complexity is the closed form; the dense transition matrix summed
         # along the path is the independent route
         model = fixed_share_model(5, 0.17)
-        log_t = model.log_transition_matrix()
+        log_t = np.log(model.transition_matrix())
         rng = make_generator(8)
         for _ in range(50):
             horizon = int(rng.integers(2, 30))

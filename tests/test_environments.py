@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 
 import numpy as np
@@ -339,6 +340,11 @@ class TestCsvParity:
         # Python's int refuses more digits than its limit; numpy reads this round as 0
         pytest.param("t,arm,loss\n0,1,0.5\n" + "0" * 5000 + ",2,0.25\n",
                      "csv:3: Exceeds the limit", id="long_digits"),
+        # csv refuses a field over its size limit; an earlier duplicate still comes first
+        pytest.param("t,arm,loss\n0,1,0.5\n0,2," + "1" * (csv.field_size_limit() + 1) + "\n",
+                     "csv:3: field larger than field limit", id="long_field"),
+        pytest.param("t,arm,loss\n0,1,0.5\n0,1,0.5\n0,2," + "1" * (csv.field_size_limit() + 1),
+                     "csv:3: duplicate entry for round 0, arm 1", id="duplicate_then_long_field"),
     ])
     def test_inputs_only_the_row_reader_reads(self, tmp_path, text, expected):
         path = tmp_path / "stream.csv"

@@ -28,7 +28,8 @@ from scalefree_bandit.harness import (
     write_runs_csv,
 )
 from scalefree_bandit.rng import run_generator
-from scalefree_bandit.verify import check_conservation, check_dense_vs_core, two_segment_stream
+from scalefree_bandit.verify import (check_conservation, check_dense_vs_core, two_segment_config,
+                                     two_segment_stream)
 
 CONFIG_TEXT = """\
 # tracking demo
@@ -138,6 +139,11 @@ class TestConfig:
         path.write_text("M=2\njust some text\n")
         with pytest.raises(ConfigError, match="key=value"):
             parse_config(path)
+
+    def test_two_segment_config_rejects_unknown_keys(self):
+        assert two_segment_config(competition="switching:1").competition == "switching:1"
+        with pytest.raises(TypeError, match="compettion"):
+            two_segment_config(compettion="switching:1")
 
     def test_bad_competition_specs(self, tmp_path):
         stream = scripted(np.zeros((4, 2)))
@@ -697,7 +703,7 @@ class TestCsvWriters:
     def test_affine_experiment(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig(
             M=4, T=150, runs=5, seed=5, gamma="auto", model="switching:0.01",
-            env="piecewise", env_seed=2, noise_width=0.1, affine="1e-30,-7",
+            env="piecewise", env_seed=2, noise_width=0.1, affine="1e-30,-7e-30",
             segments="75@0.2|0.7|0.7|0.7;75@0.7|0.2|0.7|0.7", competition="switching:1",
         )
         report = run_experiment(cfg)
@@ -1017,6 +1023,35 @@ class TestCli:
         self.assert_key_error(capsys, config_file, "output=", "output")
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("override,key", [
+        ("M=1", "M"),
+        ("T=0", "T"),
+        ("segments=200", "segments"),
+        ("segments=200@0.2|x|0.7|0.7", "segments"),
+        ("segments=0@0.2|0.7|0.7|0.7;200@0.7|0.2|0.7|0.7", "segments"),
+        (None, "segments"),  # the config sets none
+        ("affine=1", "affine"),
+        ("affine=-1,0", "affine"),
+        ("affine=1,1e300", "affine"),  # every loss becomes 1e300: no spread left
+        ("model=switching:2", "model"),
+    ])
+    def test_config_error_names_its_key(self, tmp_path, capfd, override, key):
+        config = tmp_path / "exp.cfg"
+        config.write_text(CONFIG_TEXT if override else CONFIG_TEXT.replace("segments=", "#"))
+        argv = ["run", "--config", str(config), "--override", f"output={tmp_path / 'x'}"]
+        code = cli.main(argv + (["--override", override] if override else []))
+        captured = capfd.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"'{key}'" in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    def test_constant_stream_runs_under_affine(self, capsys, config_file):
+        code = cli.main(["run", "--config", str(config_file), "--override", "noise_width=0",
+                         "--override", "segments=200@0.5|0.5|0.5|0.5", "--override", "affine=2,1"])
+        out = capsys.readouterr().out
+        assert code == 0 and "oracle_loss=400 " in out and "D=0\n" in out
+
     def test_subnormal_switching_rate_runs(self, capsys, config_file):
         # (M - 1) / alpha overflows: gamma=auto must still be finite
         code = cli.main(["run", "--config", str(config_file),
@@ -1044,6 +1079,15 @@ class TestCli:
         path = tmp_path / "absent.csv"
         code = cli.main(["oracle", "--stream", str(path), "--switches", "1"])
         self.assert_one_error_line(capfd, code, path)
+
+    def test_long_csv_field_exit_code(self, tmp_path, capfd):
+        path = tmp_path / "long.csv"
+        path.write_text("t,arm," + "l" * (csv.field_size_limit() + 1) + "\n0,1,0.5\n0,2,0.5\n")
+        code = cli.main(["oracle", "--stream", str(path), "--switches", "1"])
+        captured = capfd.readouterr()
+        assert code == 2 and captured.out == ""
+        limit = csv.field_size_limit()
+        assert captured.err == f"error: {path}:1: field larger than field limit ({limit})\n"
 
     def test_unwritable_output_exit_code(self, tmp_path, capfd, config_file, monkeypatch):
         # capfd sees the file descriptors, so a forked writer's traceback would show too

@@ -1,6 +1,8 @@
 import importlib.util
 import itertools
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -44,21 +46,26 @@ class TestDenseReference:
         assert np.abs(dense["p"] - 1 / 3).max() <= 1e-12
 
     def test_identity_transitions_are_pure_exponential_weighting(self):
-        # with identity sharing and constant rate, weights must equal
-        # exp(-rate * cumulative excess per arm) up to normalization; the
-        # excess is the loss over the running minimum, importance-weighted
+        # with identity sharing the power correction rescales every past
+        # penalty to the current rate, so once the rate is defined the
+        # weights equal exp(-rate * cumulative excess per arm) up to
+        # normalization; the excess is the loss over the running minimum,
+        # importance-weighted
         model = fixed_arm_model(2)
         rng = make_generator(4)
         losses = rng.random((12, 2))
         arms = rng.integers(0, 2, size=12)
-        ref = DenseReference(model, None, fixed_rate=0.5)
+        ref = DenseReference(model, 1.0)
         cum = np.zeros(2)
         for t in range(12):
             arm, loss = int(arms[t]), float(losses[t, arms[t]])
             out = ref.step(arm, loss)
             eps = mixture_coefficient(t + 1, 2)
             cum[arm] += (loss - ref.min_loss) / ((1.0 - eps) * out["p"][arm] + eps / 2)
-            expected = np.exp(-0.5 * cum)
+            if ref.rate_prev is None:  # no excess yet, so no penalty either
+                assert not cum.any()
+                continue
+            expected = np.exp(-ref.rate_prev * cum)
             expected /= expected.sum()
             actual = np.array(ref.weights) / sum(ref.weights)
             assert np.abs(actual - expected).max() <= 1e-12
@@ -103,6 +110,22 @@ class TestSequenceMixture:
         losses = np.zeros((25, 2))
         with pytest.raises(ValueError, match="enumerate"):
             sequence_mixture_oracle(model, losses, np.zeros(25, dtype=int), 1.0)
+
+
+@pytest.mark.parametrize("n_arms", [3, 4])
+def test_oracles_check_a_subnormal_switching_rate(n_arms):
+    # alpha / (M - 1) rounds to 0.0 here, a model that run plays
+    model = fixed_share_model(n_arms, 5e-324)
+    rng = make_generator(21)
+    losses, arms = rng.random((40, n_arms)) * 3.0 - 1.0, rng.integers(0, n_arms, size=40)
+    dense = run_dense(model, 1.5, losses, arms)
+    core = replay_core(model, 1.5, losses, arms=arms)
+    assert np.isfinite(dense["p"]).all()
+    assert np.abs(dense["p"] - core["p"]).max() <= 1e-12
+    short, rate = 6, 0.7
+    oracle = sequence_mixture_oracle(model, losses[:short], arms[:short], rate)
+    core = replay_core(model, None, losses[:short], arms=arms[:short], fixed_rate=rate)
+    assert np.abs(oracle - core["p"]).max() <= 1e-12
 
 
 def forward_dp_optimum(matrix: np.ndarray, k: int) -> float:
@@ -362,3 +385,19 @@ def test_tracking_script_runs_below_two_thousand_rounds(tmp_path, monkeypatch, c
     assert "bound satisfied: True" in out
     assert (tmp_path / "tracking_runs.csv").is_file()
     assert (tmp_path / "tracking_summary.csv").is_file()
+
+
+@pytest.mark.parametrize("script,args,last", [
+    pytest.param("run_tracking_experiment.py", ["2", "300"],
+                 "wrote tracking_runs.csv and tracking_summary.csv", id="tracking"),
+    pytest.param("show_scale_invariance.py", [], "  100x stream: rejected (loss ",
+                 id="scale_invariance"),
+])
+def test_script_runs_as_a_program(tmp_path, script, args, last):
+    # as a user runs it: its own sys.path entry finds the package, from any directory
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(path), *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].startswith(last)
