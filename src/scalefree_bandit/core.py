@@ -229,17 +229,16 @@ def draw_arms(q: np.ndarray, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def adaptive_step(loss, q_sel, p_sel, min_loss, second_moment, spread_max, rate_prev,
-                  gamma, fixed_rate=None, settled=False):
+                  gamma, settled=False):
     """Statistics, rate, exponent and power of one round, per run.
 
     The rate is gamma / sqrt(second moment + spread^2), NaN while that sum is
     zero (no excess yet, or only excesses whose squares underflow); the
     exponent is the previous rate (the current one while the previous is NaN)
     times the excess, 0 while that rate is NaN; the power is the rate ratio, 1
-    while the previous rate is NaN. ``fixed_rate`` freezes the rate (power 1).
-    ``settled`` says that no previous rate is NaN, so the degenerate-prefix
-    selections are skipped. One learner's rate is checked here
-    (:func:`check_rates`); a batch's is left to its caller.
+    while the previous rate is NaN. ``settled`` says that no previous rate is
+    NaN, so the degenerate-prefix selections are skipped. One learner's rate
+    is checked here (:func:`check_rates`); a batch's is left to its caller.
 
     A batch selects with ``fmax(rate_prev, rate)`` and ``fmin(rate /
     rate_prev, 1)``, which ignore a NaN previous rate. Where the previous
@@ -253,25 +252,21 @@ def adaptive_step(loss, q_sel, p_sel, min_loss, second_moment, spread_max, rate_
     excess = (loss - min_loss) / q_sel
     second_moment = second_moment + p_sel * excess * excess
     spread_max = _spread(excess, spread_max)
-    if fixed_rate is not None:
-        rate = exponent_rate = fixed_rate
-        power = 1.0
-    else:
-        # the sum is non-decreasing, so a NaN rate only ever fills a prefix
-        denom = second_moment + spread_max * spread_max
-        if settled:  # denom >= the previous one > 0, or NaN
-            rate = gamma / np.sqrt(denom)
-            exponent_rate, power = rate_prev, rate / rate_prev
-        elif isinstance(rate_prev, np.ndarray):
-            rate = gamma / np.sqrt(np.where(denom > 0.0, denom, math.nan))
-            exponent_rate = np.fmax(rate_prev, rate)
-            power = np.fmin(rate / rate_prev, 1.0)
-        else:  # one learner: plain floats in, plain floats out
-            rate = gamma / math.sqrt(denom) if denom > 0.0 else math.nan
-            check_rates(rate, denom)
-            degenerate = rate_prev != rate_prev  # NaN: no excess before this round
-            exponent_rate = rate if degenerate else rate_prev
-            power = 1.0 if degenerate else rate / rate_prev
+    # the sum is non-decreasing, so a NaN rate only ever fills a prefix
+    denom = second_moment + spread_max * spread_max
+    if settled:  # denom >= the previous one > 0, or NaN
+        rate = gamma / np.sqrt(denom)
+        exponent_rate, power = rate_prev, rate / rate_prev
+    elif isinstance(rate_prev, np.ndarray):
+        rate = gamma / np.sqrt(np.where(denom > 0.0, denom, math.nan))
+        exponent_rate = np.fmax(rate_prev, rate)
+        power = np.fmin(rate / rate_prev, 1.0)
+    else:  # one learner: plain floats in, plain floats out
+        rate = gamma / math.sqrt(denom) if denom > 0.0 else math.nan
+        check_rates(rate, denom)
+        degenerate = rate_prev != rate_prev  # NaN: no excess before this round
+        exponent_rate = rate if degenerate else rate_prev
+        power = 1.0 if degenerate else rate / rate_prev
     exponent = exponent_rate * excess
     exponent = _where(exponent > 0.0, exponent, 0.0)  # 0, not NaN, while the rate is NaN
     return min_loss, second_moment, spread_max, rate, exponent, power
@@ -341,7 +336,7 @@ def weight_step(model: CompetitionModel, log_w: np.ndarray, sel, exponent, power
 
 
 def round_step(model: CompetitionModel, log_w: np.ndarray, p: np.ndarray, q: np.ndarray,
-               sel, loss, stats: tuple, gamma, fixed_rate=None, settled=False):
+               sel, loss, stats: tuple, gamma, settled=False):
     """One round after the selection: adaptive step, then weight step.
 
     ``log_w``, ``p``, ``q`` are arm-major, ``(M,)`` for one learner or
@@ -356,9 +351,16 @@ def round_step(model: CompetitionModel, log_w: np.ndarray, p: np.ndarray, q: np.
     else:
         q_sel, p_sel = q.item(sel), p.item(sel)
     min_loss, second, spread, rate, exponent, power = adaptive_step(
-        loss, q_sel, p_sel, *stats, gamma, fixed_rate, settled)
+        loss, q_sel, p_sel, *stats, gamma, settled)
     log_w, p, log_in, log_out = weight_step(model, log_w, sel, exponent, power)
     return log_w, p, (min_loss, second, spread, rate), (log_in, log_out)
+
+
+def _field(snap: dict, name: str, read=lambda value: value):  # read(snap[name]) or ValueError
+    try:
+        return read(snap[name])
+    except (LookupError, TypeError, AttributeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"bad snapshot {name}: {type(exc).__name__}: {exc}") from None
 
 
 class ScaleFreeBandit:
@@ -369,32 +371,25 @@ class ScaleFreeBandit:
     model:
         Competition model supplying the prior and transitions.
     gamma:
-        Positive tuning constant of the adaptive learning rate. A good
-        default is the square root of the model's complexity budget
+        Positive, finite constant of the learning rate, which always adapts:
+        gamma / sqrt(second moment + spread^2). A good default is the square
+        root of the model's complexity budget
         (:func:`scalefree_bandit.competitions.default_gamma`).
     seed:
         Seed for the private Philox stream used only to sample arms.
-    fixed_rate:
-        Testing hook: freeze the learning rate at this value (may be 0)
-        instead of adapting it, with power ratio pinned to 1.
     """
 
     def __init__(
         self,
         model: CompetitionModel,
-        gamma: float | None,
+        gamma: float,
         seed: int = 0,
         rng: np.random.Generator | None = None,
-        fixed_rate: float | None = None,
     ):
-        if fixed_rate is None:
-            if gamma is None or not math.isfinite(gamma) or gamma <= 0.0:
-                raise ValueError(f"gamma must be positive and finite, got {gamma}")
-        elif fixed_rate < 0.0 or not math.isfinite(fixed_rate):
-            raise ValueError(f"fixed_rate must be finite and >= 0, got {fixed_rate}")
+        if not isinstance(gamma, (int, float, np.number)) or not 0.0 < gamma < math.inf:
+            raise ValueError(f"gamma must be a positive, finite number, got {gamma!r}")
         self._model = model
-        self._gamma = None if gamma is None else float(gamma)
-        self._fixed_rate = None if fixed_rate is None else float(fixed_rate)  # JSON in snapshots
+        self._gamma = float(gamma)  # JSON in snapshots
         self._log_w = model.log_prior.copy()
         self._p = arm_probabilities(self._log_w)
         self._round = 1
@@ -466,8 +461,7 @@ class ScaleFreeBandit:
             raise ValueError(f"losses must be finite, got {loss}")
         arm, q = self._pending
         self._log_w, self._p, self._stats, conservation = round_step(
-            self._model, self._log_w, self._p, q, arm, loss, self._stats, self._gamma,
-            self._fixed_rate)
+            self._model, self._log_w, self._p, q, arm, loss, self._stats, self._gamma)
         self._conservation = (float(conservation[0]), float(conservation[1]))
         self._round += 1
         self._pending = None
@@ -493,7 +487,6 @@ class ScaleFreeBandit:
             "version": SNAPSHOT_VERSION,
             "model": {"spec": self._model.spec, "n_arms": self.n_arms},
             "gamma": self._gamma,
-            "fixed_rate": self._fixed_rate,
             "round": st.round,
             "min_loss": None if st.min_loss == math.inf else st.min_loss,
             "second_moment": st.second_moment,
@@ -505,48 +498,42 @@ class ScaleFreeBandit:
 
     @classmethod
     def restore(cls, snap: dict) -> "ScaleFreeBandit":
-        if snap.get("format") != SNAPSHOT_FORMAT:
+        """Inverse of :meth:`snapshot`; a bad field raises ValueError naming it."""
+        if not isinstance(snap, dict) or snap.get("format") != SNAPSHOT_FORMAT:
             raise ValueError("not a bandit snapshot")
         if snap.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {snap.get('version')!r}")
-        model = parse_model(snap["model"]["spec"], snap["model"]["n_arms"])
-        state = cls(
-            model,
-            snap["gamma"],
-            rng=restore_generator(snap["rng"]),
-            fixed_rate=snap["fixed_rate"],
-        )
-        rounds = snap["round"]
+        if snap.get("fixed_rate") is not None:  # older snapshots hold null; the rate always adapts
+            raise ValueError(f"snapshot fixed_rate must be absent or null, not {snap['fixed_rate']!r}")
+        model = _field(snap, "model", lambda m: parse_model(m["spec"], m["n_arms"]))
+        state = cls(model, _field(snap, "gamma"), rng=_field(snap, "rng", restore_generator))
+        rounds = _field(snap, "round")
         if type(rounds) is not int or rounds < 1:  # bool is not int here
             raise ValueError(f"snapshot round must be an integer >= 1, got {rounds!r}")
-        min_loss = math.inf if snap["min_loss"] is None else snap["min_loss"]
+        min_loss = _field(snap, "min_loss", lambda x: math.inf if x is None else x)
         if type(min_loss) not in (int, float) or not -math.inf < min_loss:  # inf: older null
             raise ValueError(f"snapshot min_loss must be null or a finite number, got {min_loss!r}")
         if (min_loss == math.inf) != (rounds == 1):  # every update sets a finite minimum
             raise ValueError(f"snapshot min_loss must be null at round 1 and only there, "
                              f"got {snap['min_loss']!r} at round {rounds}")
-        second, spread = float(snap["second_moment"]), float(snap["spread_max"])
+        second, spread = _field(snap, "second_moment", float), _field(snap, "spread_max", float)
         for name, value in (("second_moment", second), ("spread_max", spread)):
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"snapshot {name} must be finite and >= 0, got {value!r}")
-        rate_prev = None if snap["rate_prev"] is None else float(snap["rate_prev"])
-        if state._fixed_rate is not None:
-            rate = None if rounds == 1 else state._fixed_rate
-            if rate_prev != rate:
-                raise ValueError(f"snapshot rate_prev {rate_prev!r} of a fixed-rate learner "
-                                 f"at round {rounds} is not {rate!r}")
-        else:
-            # the kernel's rate from these statistics, bit for bit; it raises at 0 and inf
-            denom = second + spread * spread
-            rate = None if denom == 0.0 else state._gamma / math.sqrt(denom)
-            if rate_prev != rate or rate in (0.0, math.inf):
-                raise ValueError(f"snapshot rate_prev {rate_prev!r} is not gamma / "
-                                 f"sqrt(second_moment + spread_max**2) = {rate!r}")
-        state._log_w = np.array(snap["log_weights"], dtype=np.float64)
-        if state._log_w.shape != (state.n_arms,):
-            raise ValueError(f"snapshot log_weights must hold {state.n_arms} numbers, "
-                             f"got shape {state._log_w.shape}")
-        state._p = arm_probabilities(state._log_w)
+        rate_prev = _field(snap, "rate_prev", lambda x: None if x is None else float(x))
+        # the kernel's rate from these statistics, bit for bit; it raises at 0 and inf
+        denom = second + spread * spread
+        rate = None if denom == 0.0 else state._gamma / math.sqrt(denom)
+        if rate_prev != rate or rate in (0.0, math.inf):
+            raise ValueError(f"snapshot rate_prev {rate_prev!r} is not gamma / "
+                             f"sqrt(second_moment + spread_max**2) = {rate!r}")
+
+        def weights(values):  # the mass check of arm_probabilities rejects NaN and inf
+            log_w = np.array(values, dtype=np.float64)
+            if log_w.shape != (model.n_arms,):
+                raise ValueError(f"must hold {model.n_arms} numbers, got shape {log_w.shape}")
+            return log_w, arm_probabilities(log_w)
+        state._log_w, state._p = _field(snap, "log_weights", weights)
         state._round = rounds
         state._stats = (float(min_loss), second, spread,
                         math.nan if rate_prev is None else rate_prev)

@@ -198,7 +198,7 @@ def build_stream(cfg: ExperimentConfig) -> LossStream:
 
 
 def competition_path(cfg: ExperimentConfig, stream: LossStream) -> tuple[np.ndarray, int]:
-    """Oracle arm path for the configured competition, plus its switch budget."""
+    """Oracle arm path for the configured competition, plus the switch budget it used (< T)."""
     if cfg.competition == "fixed":
         arm, _ = reference.best_fixed_arm(stream)
         return np.full(stream.horizon, arm, dtype=np.intp), 0
@@ -211,7 +211,7 @@ def competition_path(cfg: ExperimentConfig, stream: LossStream) -> tuple[np.ndar
         if k < 0:
             raise ConfigError(f"key 'competition': switch count must be >= 0, got {k}")
         path, _ = reference.best_switching_sequence(stream, k)
-        return path, k
+        return path, min(k, stream.horizon - 1)  # the DP's own clamp
     raise ConfigError(f"key 'competition': unknown oracle {cfg.competition!r}")
 
 

@@ -6,7 +6,7 @@ The oracles cross-check the optimized core by an independent route:
   nested loops in linear-domain arithmetic, no log-space tricks.
 * :func:`sequence_mixture_oracle` -- for a constant learning rate, the
   weight recursion collapses to an explicit weighting over every arm
-  sequence; this enumerates them all.
+  sequence; this enumerates them all (against :func:`replay_constant_rate`).
 * :func:`enumerate_best_sequence` -- brute force over arm sequences, the
   check of the switch-budget dynamic program.
 
@@ -28,7 +28,8 @@ import math
 import numpy as np
 
 from .competitions import CompetitionModel
-from .core import ScaleFreeBandit, arm_probabilities, draw_arms, mixture_coefficient
+from .core import (ScaleFreeBandit, arm_probabilities, draw_arms, mixture_coefficient,
+                   selection_probabilities, weight_step)
 from .environments import LossStream
 from .rng import make_generator
 
@@ -126,16 +127,16 @@ def run_dense(model: CompetitionModel, gamma: float, losses: np.ndarray, arms) -
     return {"p": p_hist, "conservation": conservation}
 
 
-def replay_core(model: CompetitionModel, gamma: float | None, losses: np.ndarray,
-                arms=None, seed: int = 0, fixed_rate: float | None = None) -> dict:
-    """Run the optimized core over a loss matrix, recording each round.
+def replay_core(model: CompetitionModel, gamma: float, losses: np.ndarray,
+                arms=None, seed: int = 0) -> dict:
+    """Run the learner, with its adaptive rate, over a loss matrix, recording each round.
 
     With `arms` given the choices are forced (no RNG use); otherwise the
     core samples from its own stream seeded by `seed`.
     """
     losses = np.asarray(losses, dtype=np.float64)
     horizon, n_arms = losses.shape
-    state = ScaleFreeBandit(model, gamma, seed=seed, fixed_rate=fixed_rate)
+    state = ScaleFreeBandit(model, gamma, seed=seed)
     p_hist = np.empty((horizon, n_arms))
     q_hist = np.empty((horizon, n_arms))
     arm_hist = np.empty(horizon, dtype=np.intp)
@@ -165,6 +166,19 @@ def replay_core(model: CompetitionModel, gamma: float | None, losses: np.ndarray
 # ---------------------------------------------------------------------------
 # exhaustive sequence-mixture oracle (constant learning rate)
 # ---------------------------------------------------------------------------
+
+def replay_constant_rate(model: CompetitionModel, losses: np.ndarray, arms, rate: float):
+    """Scripted rounds through the core's sharing step at a constant learning rate:
+    the arm probabilities, row t in force before round t's update."""
+    log_w, min_loss, p_hist = model.log_prior, math.inf, []
+    for t, arm in enumerate(arms):
+        p_hist.append(arm_probabilities(log_w))
+        q = selection_probabilities(p_hist[-1], mixture_coefficient(t + 1, model.n_arms))
+        loss = float(losses[t, arm])
+        min_loss = min(min_loss, loss)  # the learner's tie rule: a tie keeps the old minimum
+        log_w = weight_step(model, log_w, arm, rate * ((loss - min_loss) / q[arm]), 1.0)[0]
+    return np.array(p_hist)
+
 
 def sequence_mixture_oracle(model: CompetitionModel, losses: np.ndarray,
                             arms, rate: float) -> np.ndarray:

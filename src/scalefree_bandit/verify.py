@@ -18,6 +18,7 @@ from .harness import ExperimentConfig, RegretReport, run_experiment
 from .reference import (
     best_switching_sequence,
     enumerate_best_sequence,
+    replay_constant_rate,
     replay_core,
     run_dense,
     sequence_mixture_oracle,
@@ -62,16 +63,16 @@ def check_dense_vs_core(n_arms=8, horizon=1000, alpha=0.1, gamma=1.5,
 
 
 def check_sequence_mixture(instances=100, seed=11, tol=1e-12) -> CheckResult:
-    """Constant-rate core vs explicit enumeration over all arm sequences."""
+    """Constant-rate sharing step of the core vs explicit enumeration over all arm sequences."""
     rng = make_generator(seed)
     model = fixed_share_model(2, 0.25)
     worst = 0.0
     for _ in range(instances):
         losses, arms = _random_instance(rng, 2, 8, scale=2.0, offset=-0.5)
         rate = float(rng.uniform(0.05, 2.0))
-        core = replay_core(model, None, losses, arms=arms, fixed_rate=rate)
+        core = replay_constant_rate(model, losses, arms, rate)
         oracle = sequence_mixture_oracle(model, losses, arms, rate)
-        worst = max(worst, float(np.abs(core["p"] - oracle).max()))
+        worst = max(worst, float(np.abs(core - oracle).max()))
     return CheckResult("oracle-sequence-mixture", worst <= tol, worst,
                        f"{instances} instances M=2 T=8 const-rate, tol={tol:g}")
 

@@ -353,15 +353,10 @@ class TestInit:
         with pytest.raises(ValueError):
             ScaleFreeBandit(fixed_arm_model(2), gamma=0.0, seed=0)
 
-    def test_rejects_bad_fixed_rate(self):
-        with pytest.raises(ValueError):
-            ScaleFreeBandit(fixed_arm_model(2), gamma=None, fixed_rate=-1.0)
-        with pytest.raises(ValueError):
-            ScaleFreeBandit(fixed_arm_model(2), gamma=None, fixed_rate=math.inf)
-
-    def test_fixed_rate_needs_no_gamma(self):
-        state = ScaleFreeBandit(fixed_arm_model(2), gamma=None, fixed_rate=0.5)
-        assert state.snapshot()["gamma"] is None
+    @pytest.mark.parametrize("gamma", [None, math.inf, math.nan, -1.0, "1"])
+    def test_gamma_is_required_and_positive(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            ScaleFreeBandit(fixed_arm_model(2), gamma)
 
     def test_initial_bookkeeping(self):
         state = ScaleFreeBandit(fixed_arm_model(2), gamma=1.0, seed=0)
@@ -521,8 +516,8 @@ class TestSnapshot:
         twin = ScaleFreeBandit.restore(json.loads(snaps[0]))
         assert json.dumps(twin.snapshot(), allow_nan=False) == snaps[0]
 
-    @pytest.mark.parametrize("rounds,field,value,fixed_rate", [
-        *(pytest.param(rounds, field, value, None, id=f"{rounds}-{field}-{value}")
+    @pytest.mark.parametrize("rounds,field,value", [
+        *(pytest.param(rounds, field, value, id=f"{rounds}-{field}-{value}")
           for field, value in [
               ("rate_prev", 1e-9), ("rate_prev", -1.0), ("second_moment", -1.0),
               ("spread_max", -0.5), ("second_moment", math.inf), ("spread_max", math.nan),
@@ -530,19 +525,14 @@ class TestSnapshot:
               ("min_loss", math.nan), ("min_loss", -math.inf), ("min_loss", "0.5"),
           ] for rounds in (0, 6)),
         # a null (or the older Infinity) min_loss means no loss yet: round 1 only
-        pytest.param(6, "min_loss", None, None, id="6-min_loss-None"),
-        pytest.param(6, "min_loss", math.inf, None, id="6-min_loss-Infinity"),
-        pytest.param(0, "min_loss", 0.25, None, id="0-min_loss-0.25"),
-        # a fixed-rate learner's rate_prev is null at round 1 and its fixed rate after
-        pytest.param(0, "rate_prev", 0.5, 0.5, id="0-rate_prev-0.5-fixed"),
-        pytest.param(6, "rate_prev", -7.0, 0.5, id="6-rate_prev--7.0-fixed"),
-        pytest.param(6, "rate_prev", None, 0.5, id="6-rate_prev-None-fixed"),
+        pytest.param(6, "min_loss", None, id="6-min_loss-None"),
+        pytest.param(6, "min_loss", math.inf, id="6-min_loss-Infinity"),
+        pytest.param(0, "min_loss", 0.25, id="0-min_loss-0.25"),
     ])
-    def test_unreachable_statistics_rejected_at_restore(self, rounds, field, value, fixed_rate):
+    def test_unreachable_statistics_rejected_at_restore(self, rounds, field, value):
         # statistics the recursion cannot produce fail at restore, naming the
         # field, instead of surfacing at some later update
-        state = ScaleFreeBandit(fixed_share_model(3, 0.2), gamma=1.0, seed=4,
-                                fixed_rate=fixed_rate)
+        state = ScaleFreeBandit(fixed_share_model(3, 0.2), gamma=1.0, seed=4)
         self.play(state, {0: 1.0, 1: 2.0, 2: 0.0}, rounds)
         snap = json.loads(json.dumps(state.snapshot(), allow_nan=False))
         snap[field] = value
@@ -558,19 +548,69 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="log_weights"):
             ScaleFreeBandit.restore(snap)
 
-    def test_numpy_fixed_rate_snapshots_as_a_plain_number(self):
+    def test_numpy_gamma_snapshots_as_a_plain_number(self):
         snaps = []
-        for rate in (np.float32(0.5), 0.5):
-            state = ScaleFreeBandit(fixed_arm_model(2), gamma=None, seed=0, fixed_rate=rate)
+        for gamma in (np.float32(0.5), 0.5):
+            state = ScaleFreeBandit(fixed_arm_model(2), gamma, seed=0)
             self.play(state, {0: 1.0, 1: 0.0}, 4)
             snaps.append(json.dumps(state.snapshot(), allow_nan=False))
         assert snaps[0] == snaps[1]
 
-    def test_rate_of_a_fixed_rate_learner_is_not_rederived(self):
-        state = ScaleFreeBandit(fixed_arm_model(2), gamma=None, seed=0, fixed_rate=0.5)
-        self.play(state, {0: 1.0, 1: 0.0}, 4)
-        twin = ScaleFreeBandit.restore(json.loads(json.dumps(state.snapshot())))
-        assert twin.stats == state.stats
+    def test_snapshot_of_the_one_rate_rule_holds_no_fixed_rate(self):
+        state = ScaleFreeBandit(fixed_share_model(3, 0.2), gamma=1.0, seed=4)
+        assert "fixed_rate" not in state.snapshot()
+
+    def test_null_fixed_rate_of_older_snapshots_restores_and_resumes(self):
+        losses = {0: 0.3, 1: 0.9, 2: 0.1}
+        state = ScaleFreeBandit(fixed_share_model(3, 0.2), gamma=1.0, seed=4)
+        self.play(state, losses, 9)
+        snap = json.loads(json.dumps(state.snapshot(), allow_nan=False))
+        twin = ScaleFreeBandit.restore({**snap, "fixed_rate": None})
+        assert self.play(twin, losses, 20) == self.play(state, losses, 20)
+        assert twin.log_weights.tobytes() == state.log_weights.tobytes()
+        assert twin.snapshot() == state.snapshot()
+
+    @pytest.mark.parametrize("value", [0.5, 0.0, "0.5"], ids=["0.5", "0.0", "string"])
+    def test_fixed_rate_snapshot_rejected(self, value):
+        state = ScaleFreeBandit(fixed_share_model(3, 0.2), gamma=1.0, seed=4)
+        self.play(state, {0: 1.0, 1: 2.0, 2: 0.0}, 6)
+        with pytest.raises(ValueError, match="fixed_rate"):
+            ScaleFreeBandit.restore({**state.snapshot(), "fixed_rate": value})
+
+    @pytest.mark.parametrize("field,edit", [
+        ("model", lambda snap: snap["model"].update(n_arms=3.0)),
+        ("model", lambda snap: snap["model"].update(n_arms="3")),
+        ("model", lambda snap: snap["model"].pop("spec")),
+        ("model", lambda snap: snap.update(model=[3])),
+        ("gamma", lambda snap: snap.update(gamma="1")),
+        ("gamma", lambda snap: snap.pop("gamma")),
+        ("round", lambda snap: snap.pop("round")),
+        ("min_loss", lambda snap: snap.pop("min_loss")),
+        ("second_moment", lambda snap: snap.update(second_moment=[0.5])),
+        ("rate_prev", lambda snap: snap.pop("rate_prev")),
+        ("rng", lambda snap: snap["rng"].pop("counter")),
+        ("rng", lambda snap: snap["rng"].update(counter=[1])),
+        ("rng", lambda snap: snap["rng"].update(key=[-1, 0])),
+        ("rng", lambda snap: snap.update(rng=None)),
+        ("log_weights", lambda snap: snap["log_weights"].__setitem__(0, math.nan)),
+        ("log_weights", lambda snap: snap.update(log_weights=[800.0] * 3)),
+        ("log_weights", lambda snap: snap.update(log_weights={"a": 0.0})),
+    ], ids=["n_arms-float", "n_arms-str", "no-spec", "model-list", "gamma-str", "no-gamma",
+            "no-round", "no-min_loss", "second_moment-list", "no-rate_prev", "no-counter",
+            "short-counter", "negative-key", "rng-null", "nan-log_weights",
+            "overflowing-log_weights", "log_weights-dict"])
+    def test_malformed_snapshot_raises_value_error_naming_the_field(self, field, edit):
+        state = ScaleFreeBandit(fixed_share_model(3, 0.2), gamma=1.0, seed=4)
+        self.play(state, {0: 1.0, 1: 2.0, 2: 0.0}, 6)
+        snap = json.loads(json.dumps(state.snapshot(), allow_nan=False))
+        edit(snap)
+        with pytest.raises(ValueError, match=field), np.errstate(over="ignore"):
+            ScaleFreeBandit.restore(snap)
+
+    @pytest.mark.parametrize("snap", [[("format", "scalefree-bandit-snapshot")], "snapshot", None])
+    def test_snapshot_that_is_not_an_object_rejected(self, snap):
+        with pytest.raises(ValueError, match="not a bandit snapshot"):
+            ScaleFreeBandit.restore(snap)
 
     def test_fresh_snapshot_is_strict_json(self):
         state = ScaleFreeBandit(fixed_share_model(3, 0.2), gamma=1.0, seed=4)

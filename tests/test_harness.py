@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from scalefree_bandit import cli, core, harness
-from scalefree_bandit.competitions import fixed_arm_model, fixed_share_model
+from scalefree_bandit.competitions import default_gamma, fixed_arm_model, fixed_share_model
 from scalefree_bandit.core import NumericalDegeneracyError
 from scalefree_bandit.environments import scripted, write_csv
 from scalefree_bandit.harness import (
@@ -28,7 +28,8 @@ from scalefree_bandit.harness import (
     write_runs_csv,
 )
 from scalefree_bandit.rng import run_generator
-from scalefree_bandit.verify import (check_conservation, check_dense_vs_core, two_segment_config,
+from scalefree_bandit.verify import (check_conservation, check_dense_vs_core,
+                                     check_sequence_mixture, two_segment_config,
                                      two_segment_stream)
 
 CONFIG_TEXT = """\
@@ -914,6 +915,16 @@ class TestNegativeControls:
         assert core_result.name == "conservation-core"
         assert not core_result.passed and core_result.deviation > 1e-9
 
+    def test_sequence_mixture_check_reaches_the_production_share(self, monkeypatch):
+        def leaky_share(z, total, alpha):
+            return (1.0 - alpha) * z + alpha / (z.shape[-1] - 1) * total
+
+        assert check_sequence_mixture().passed
+        monkeypatch.setattr(core, "fixed_share", leaky_share)
+        result = check_sequence_mixture()
+        assert result.name == "oracle-sequence-mixture"
+        assert not result.passed and result.deviation > 1e-12
+
 
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys, config_file):
@@ -1059,6 +1070,45 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "bound=" in out and "inf" not in out and "nan" not in out
+
+    @pytest.mark.parametrize("overrides", [
+        ["competition=switching:20000"],
+        ["T=1", "segments=1@0.25|0.75|0.75|0.75"],  # the config's own switching:1
+    ], ids=["budget-above-T", "budget-equal-to-T"])
+    def test_switch_budget_at_or_above_the_horizon_runs(self, capsys, config_file,
+                                                        monkeypatch, overrides):
+        # the oracle clamps the budget to T - 1, and gamma=auto is tuned for that budget
+        reports = []
+
+        def recorded(cfg, engine=simulate_runs):
+            reports.append((cfg, run_experiment(cfg, engine)))
+            return reports[-1][1]
+
+        monkeypatch.setattr(harness, "run_experiment", recorded)
+        argv = ["run", "--config", str(config_file), "--override", "runs=2"]
+        code = cli.main(argv + [arg for o in overrides for arg in ("--override", o)])
+        assert code == 0 and "bound=" in capsys.readouterr().out
+        cfg, report = reports[0]
+        model = fixed_share_model(cfg.M, 0.005)
+        assert report.gamma == default_gamma(model, cfg.T, cfg.T - 1)
+
+    def test_bound_line_is_vacuous_where_the_model_cannot_play_the_path(self, capsys,
+                                                                        config_file):
+        code = cli.main(["run", "--config", str(config_file), "--override", "model=fixed",
+                         "--override", "runs=2"])
+        out = capsys.readouterr().out
+        assert code == 0 and "W=inf" in out
+        assert "bound=inf (vacuous: mean+2se=" in out
+
+    @pytest.mark.parametrize("gamma,named", [("auto", False), ("1e300", True), ("0.5", True)])
+    def test_bound_line_names_the_tuned_gamma_form(self, capsys, config_file, gamma, named):
+        # the bound is proved for gamma=auto; a hand-set gamma is measured against that form
+        code = cli.main(["run", "--config", str(config_file), "--override", f"gamma={gamma}",
+                         "--override", "runs=2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert (", tuned-gamma form: mean+2se=" in out) == named
+        assert ("satisfied" in out) != ("VIOLATED" in out)
 
     def test_largest_env_seed_runs(self, capsys, config_file):
         code = cli.main(["run", "--config", str(config_file),

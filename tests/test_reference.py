@@ -20,6 +20,7 @@ from scalefree_bandit.reference import (
     best_switching_sequence,
     enumerate_best_sequence,
     path_loss,
+    replay_constant_rate,
     replay_core,
     run_dense,
     run_exp3,
@@ -101,8 +102,8 @@ class TestSequenceMixture:
             arms = rng.integers(0, 2, size=8)
             rate = float(rng.uniform(0.1, 1.5))
             oracle = sequence_mixture_oracle(model, losses, arms, rate)
-            core = replay_core(model, None, losses, arms=arms, fixed_rate=rate)
-            worst = max(worst, float(np.abs(oracle - core["p"]).max()))
+            core = replay_constant_rate(model, losses, arms, rate)
+            worst = max(worst, float(np.abs(oracle - core).max()))
         assert worst <= 1e-12
 
     def test_refuses_huge_enumerations(self):
@@ -124,8 +125,8 @@ def test_oracles_check_a_subnormal_switching_rate(n_arms):
     assert np.abs(dense["p"] - core["p"]).max() <= 1e-12
     short, rate = 6, 0.7
     oracle = sequence_mixture_oracle(model, losses[:short], arms[:short], rate)
-    core = replay_core(model, None, losses[:short], arms=arms[:short], fixed_rate=rate)
-    assert np.abs(oracle - core["p"]).max() <= 1e-12
+    core = replay_constant_rate(model, losses[:short], arms[:short], rate)
+    assert np.abs(oracle - core).max() <= 1e-12
 
 
 def forward_dp_optimum(matrix: np.ndarray, k: int) -> float:
