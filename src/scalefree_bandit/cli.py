@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -20,9 +21,11 @@ def _cmd_run(args) -> int:
     print(f"competition={cfg.competition} oracle_loss={report.comp_loss:.6g} "
           f"switches={k} W={report.path_complexity:.6g} D={report.range_width:.6g}")
     print(f"mean_regret={report.mean_final:.6g} stderr={report.stderr_final:.6g}")
-    status = ("vacuous" if np.isinf(report.path_complexity)  # the model cannot play the path
-              else "satisfied" if report.bound_satisfied else "VIOLATED")
-    status += "" if cfg.gamma == "auto" else ", tuned-gamma form"
+    if np.isinf(report.path_complexity):  # the model cannot play the path, at any gamma
+        status = "vacuous"
+    else:  # the bound is proved at gamma = sqrt(W) of the path that was played
+        status = "satisfied" if report.bound_satisfied else "VIOLATED"
+        status += "" if report.gamma == math.sqrt(report.path_complexity) else ", tuned-gamma form"
     print(f"bound={report.bound:.6g} ({status}: mean+2se="
           f"{report.mean_final + 2 * report.stderr_final:.6g})")
     if cfg.output is not None:

@@ -17,7 +17,11 @@ One round, in order:
 4. multiply the selected arm's weight by exp(-rate * excess) using the
    previous round's rate, raise everything to the ratio of consecutive
    rates, and push the result through the model's probability-sharing
-   transitions to obtain the next round's weights.
+   transitions to obtain the next round's weights, divided by their mass.
+
+The log-weights therefore have mass 1 after every round, and the arm
+probabilities are their exponentials (:func:`mass_one_probabilities`), with
+no renormalization pass: they sum to 1 within a few ulps, not exactly.
 
 Steps 2-4 are :func:`round_step`, the only copy of the recursion, written
 arm-major: the state (log-weights and probabilities) is ``(M,)`` for
@@ -108,12 +112,6 @@ def selection_probabilities(p: np.ndarray, eps: float) -> np.ndarray:
 # batch. These helpers take the plain Python route for scalars: numpy's
 # per-call overhead on scalars would otherwise dominate a one-learner round.
 
-def _where(mask, a, b):
-    if isinstance(mask, np.ndarray):
-        return np.where(mask, a, b)
-    return a if mask else b
-
-
 def _spread(excess, spread):
     """``where(excess <= spread, spread, excess)``: a NaN excess propagates.
 
@@ -170,25 +168,34 @@ def check_mass(total) -> None:
         raise NumericalDegeneracyError("weight mass vanished or is not finite")
 
 
-def _normalized(log_w: np.ndarray, check: bool) -> np.ndarray:
+def arm_probabilities(log_w: np.ndarray) -> np.ndarray:
+    """Normalized arm probabilities from any log-weights (axis 0), mass checked.
+
+    The learner and the engine do not take this route: their log-weights
+    have mass 1, and their probabilities are the plain exponentials
+    (:func:`weight_step`, :func:`mass_one_probabilities`). This form divides
+    by the mass, for scores of another mass (Exp3's max-shifted scores) and
+    for the engine's once-per-block mass check. Inputs must stay inside
+    exp's range.
+    """
     e = np.exp(log_w)
     total = _arm_sum(e)
-    if check:
-        check_mass(total)
+    check_mass(total)
     e /= total
     return e
 
 
-def arm_probabilities(log_w: np.ndarray) -> np.ndarray:
-    """Normalized arm probabilities from log-weights (axis 0), mass checked.
+def mass_one_probabilities(log_w: np.ndarray) -> np.ndarray:
+    """``exp(log_w)``, mass checked: the arm probabilities of log-weights of mass 1.
 
-    This and the unchecked form of the batch kernel (the same operations)
-    are the only route from stored weights to probabilities, so a restored
-    learner has the same probabilities bit for bit. Stored log-weights have
-    mass 1, so their exponentials neither overflow nor all underflow; other
-    inputs must stay inside exp's range.
+    The start state, :meth:`ScaleFreeBandit.restore` and every round of
+    :func:`weight_step` take this route (a batch's rounds skip the check),
+    so a restored learner has the kernel's probabilities bit for bit. They
+    sum to 1 within a few ulps, not exactly.
     """
-    return _normalized(log_w, check=True)
+    p = np.exp(log_w)
+    check_mass(_arm_sum(p))
+    return p
 
 
 def sample_arm(q: np.ndarray, rng: np.random.Generator) -> int:
@@ -198,8 +205,10 @@ def sample_arm(q: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, q.shape[0] - 1)
 
 
-# Up to this many arms a loop over the rows beats one cumsum(axis=0). Measured
-# crossover: about 4 arms at 1 run, 5 at 20 runs, 7 at 200, above 16 at 2000.
+# Up to this many arms a loop over the rows beats one add.accumulate(axis=0).
+# Measured crossover (numpy 2.4, 2-core Xeon): about 4 arms at 1 to 10 runs, 5
+# at 20 runs, 8 at 200; at 5 arms the loop loses 1-3 us a call up to 20 runs
+# and wins 3 us at 200.
 _DRAW_LOOP_ARMS = 5
 
 
@@ -208,12 +217,13 @@ def draw_arms(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     cumulative probabilities at or below u, capped at M - 1 (the total can round below 1).
 
     Up to ``_DRAW_LOOP_ARMS`` arms the rows are accumulated in a loop, with the
-    additions of ``cumsum`` in its order, and counted as they grow. The sums
+    additions of ``cumsum`` in its order, and counted as they grow; above it,
+    ``np.add.accumulate`` makes the same additions in one call. The sums
     never fall (q >= 0), so counting only the first M - 1 of them is the cap.
     """
     n_arms = q.shape[0]
-    if n_arms > _DRAW_LOOP_ARMS:
-        arm = np.add.reduce(np.cumsum(q, axis=0) <= u, axis=0)
+    if n_arms > _DRAW_LOOP_ARMS:  # add.accumulate: cumsum's additions, without its wrapper
+        arm = np.add.reduce(np.add.accumulate(q, axis=0) <= u, axis=0)
         np.minimum(arm, n_arms - 1, out=arm)
         return arm
     c = q[0]
@@ -246,9 +256,22 @@ def adaptive_step(loss, q_sel, p_sel, min_loss, second_moment, spread_max, rate_
     never rises (see :func:`weight_step`); they can differ only after a rate
     that fails the check.
 
+    A batch also takes the running minimum as ``fmin(loss, min_loss)`` and
+    clamps the exponent with ``fmax(exponent, 0)``, where one learner
+    compares plain floats. On a tie of ``0.0`` and ``-0.0`` these may keep
+    the other zero, and that sign reaches no output: the excess is then a
+    zero, whose square adds +0 to the second moment; :func:`_spread` and
+    every comparison ignore the sign; a zero exponent subtracted from a
+    log-weight leaves it equal, and ``exp(±0) = 1``; and the record's
+    running minimum comes from the losses
+    (:func:`scalefree_bandit.harness._running_minimum`), not from the
+    kernel. A NaN exponent (the rate is NaN) clamps to 0 either way; the
+    losses are finite, so the minimum is never NaN.
+
     Returns (min_loss, second_moment, spread_max, rate, exponent, power).
     """
-    min_loss = _where(loss < min_loss, loss, min_loss)
+    batch = isinstance(loss, np.ndarray)
+    min_loss = np.fmin(loss, min_loss) if batch else (loss if loss < min_loss else min_loss)
     excess = (loss - min_loss) / q_sel
     second_moment = second_moment + p_sel * excess * excess
     spread_max = _spread(excess, spread_max)
@@ -267,8 +290,11 @@ def adaptive_step(loss, q_sel, p_sel, min_loss, second_moment, spread_max, rate_
         degenerate = rate_prev != rate_prev  # NaN: no excess before this round
         exponent_rate = rate if degenerate else rate_prev
         power = 1.0 if degenerate else rate / rate_prev
-    exponent = exponent_rate * excess
-    exponent = _where(exponent > 0.0, exponent, 0.0)  # 0, not NaN, while the rate is NaN
+    exponent = exponent_rate * excess  # clamped to 0, not NaN, while the rate is NaN
+    if batch:
+        np.fmax(exponent, 0.0, out=exponent)
+    elif not exponent > 0.0:
+        exponent = 0.0
     return min_loss, second_moment, spread_max, rate, exponent, power
 
 
@@ -293,14 +319,18 @@ def weight_step(model: CompetitionModel, log_w: np.ndarray, sel, exponent, power
 
     One exp turns the max-shifted log-weights into linear weights; the
     identity model stays in the log domain, so small weights never underflow.
-    Returns (next log-weights of mass 1, their arm probabilities, log mass
-    entering the sharing step, log mass leaving it); the two masses agree up
-    to rounding because the transitions are stochastic.
+    The weights are divided by their mass once, before the log, so the next
+    log-weights have mass 1 and the next arm probabilities are their
+    exponentials, not renormalized again. Returns (next log-weights, their
+    arm probabilities, log mass entering the sharing step, log mass leaving
+    it); the two masses agree up to rounding because the transitions are
+    stochastic.
 
-    One learner's ``(M,)`` log-weights are left as they were, and its mass
-    is checked (:func:`check_mass`). A batch's ``(M, runs)`` log-weights
-    are the engine's own state: they are overwritten, the mass is left to
-    the engine, and the two masses are not formed (None).
+    One learner's ``(M,)`` log-weights are left as they were, and the sum of
+    its probabilities is checked (:func:`mass_one_probabilities`). A
+    batch's ``(M, runs)`` log-weights are the engine's own state: they are
+    overwritten, the mass is left to the engine, and the two masses are not
+    formed (None).
 
     ``power`` is in (0, 1] by construction, so it is not checked: the rate's
     denominator (second moment + spread^2) never falls, as its terms never do
@@ -325,9 +355,9 @@ def weight_step(model: CompetitionModel, log_w: np.ndarray, sel, exponent, power
         total_out = _arm_sum(w)
         w /= total_out
         log_next = np.log(w, out=w)
-    p = _normalized(log_next, check=not batch)
     if batch:
-        return log_next, p, None, None
+        return log_next, np.exp(log_next), None, None
+    p = mass_one_probabilities(log_next)
     if model.alpha is None:
         log_in = log_out = top + log_total
     else:
@@ -363,6 +393,13 @@ def _field(snap: dict, name: str, read=lambda value: value):  # read(snap[name])
         raise ValueError(f"bad snapshot {name}: {type(exc).__name__}: {exc}") from None
 
 
+def _number(value) -> float:
+    """A JSON number (int or float, so never a bool or a numeric string) as a float."""
+    if type(value) not in (int, float):
+        raise TypeError(f"must be a JSON number, got {value!r}")
+    return float(value)
+
+
 class ScaleFreeBandit:
     """One bandit learner; strict two-phase select/reveal/update rounds.
 
@@ -391,7 +428,7 @@ class ScaleFreeBandit:
         self._model = model
         self._gamma = float(gamma)  # JSON in snapshots
         self._log_w = model.log_prior.copy()
-        self._p = arm_probabilities(self._log_w)
+        self._p = mass_one_probabilities(self._log_w)
         self._round = 1
         self._stats = START_STATS  # what round_step takes and returns
         self._rng = rng if rng is not None else make_generator(seed)
@@ -516,11 +553,11 @@ class ScaleFreeBandit:
         if (min_loss == math.inf) != (rounds == 1):  # every update sets a finite minimum
             raise ValueError(f"snapshot min_loss must be null at round 1 and only there, "
                              f"got {snap['min_loss']!r} at round {rounds}")
-        second, spread = _field(snap, "second_moment", float), _field(snap, "spread_max", float)
+        second, spread = _field(snap, "second_moment", _number), _field(snap, "spread_max", _number)
         for name, value in (("second_moment", second), ("spread_max", spread)):
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"snapshot {name} must be finite and >= 0, got {value!r}")
-        rate_prev = _field(snap, "rate_prev", lambda x: None if x is None else float(x))
+        rate_prev = _field(snap, "rate_prev", lambda x: None if x is None else _number(x))
         # the kernel's rate from these statistics, bit for bit; it raises at 0 and inf
         denom = second + spread * spread
         rate = None if denom == 0.0 else state._gamma / math.sqrt(denom)
@@ -528,11 +565,15 @@ class ScaleFreeBandit:
             raise ValueError(f"snapshot rate_prev {rate_prev!r} is not gamma / "
                              f"sqrt(second_moment + spread_max**2) = {rate!r}")
 
-        def weights(values):  # the mass check of arm_probabilities rejects NaN and inf
-            log_w = np.array(values, dtype=np.float64)
+        def weights(values):  # the kernel's route to p: exp, then the mass check (NaN fails it)
+            log_w = np.array([_number(x) for x in values], dtype=np.float64)
             if log_w.shape != (model.n_arms,):
                 raise ValueError(f"must hold {model.n_arms} numbers, got shape {log_w.shape}")
-            return log_w, arm_probabilities(log_w)
+            p = np.exp(log_w)
+            mass = _arm_sum(p)
+            if not abs(mass - 1.0) <= 1e-9:  # p = exp(log_w) is not renormalized
+                raise ValueError(f"mass (the sum of their exps) {float(mass)!r} is not 1 within 1e-9")
+            return log_w, p
         state._log_w, state._p = _field(snap, "log_weights", weights)
         state._round = rounds
         state._stats = (float(min_loss), second, spread,

@@ -47,7 +47,8 @@ import numpy as np
 from . import environments, reference
 from .competitions import CompetitionModel, complexity, default_gamma, parse_model
 from .core import (START_STATS, NumericalDegeneracyError, arm_probabilities, check_rates,
-                   draw_arms, mixture_coefficient, round_step, selection_probabilities)
+                   draw_arms, mass_one_probabilities, mixture_coefficient, round_step,
+                   selection_probabilities)
 from .environments import LossStream
 from .rng import run_generator
 
@@ -335,7 +336,10 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
     The kernel's range checks run once per block, not per round: on the
     block's rates and on the state after its last round
     (:func:`~scalefree_bandit.core.check_rates`, and the mass check of
-    :func:`~scalefree_bandit.core.arm_probabilities`). A round that fails
+    :func:`~scalefree_bandit.core.arm_probabilities`). Between those checks
+    the rounds take the probabilities as the exponentials of the mass-1
+    log-weights, as one learner does, with no renormalization and no mass
+    check (:func:`~scalefree_bandit.core.weight_step`). A round that fails
     either check is still seen there, because what it leaves behind lasts:
 
     - A rate that is neither NaN nor in (0, inf) stays in the block's rates.
@@ -397,7 +401,7 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
         return log_w, p, stats
 
     log_w = np.repeat(model.log_prior[:, None], runs, axis=1)
-    state = (log_w, arm_probabilities(log_w), tuple(np.full(runs, x) for x in START_STATS))
+    state = (log_w, mass_one_probabilities(log_w), tuple(np.full(runs, x) for x in START_STATS))
     for lo in range(0, horizon, block):
         hi = min(lo + block, horizon)
         for r, gen in enumerate(generators):

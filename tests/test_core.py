@@ -198,6 +198,25 @@ class TestBatchSelections:
         assert math.copysign(1.0, core._spread(-0.0, 0.0)) == 1.0
         assert math.isnan(core._spread(math.nan, 1.0))
 
+    def test_running_minimum_and_exponent_clamp(self):
+        # fmin (loss finite, minimum finite or inf) and fmax (exponent +-0,
+        # positive, negative or NaN) equal the where forms up to a zero's sign;
+        # the excess a minimum leaves squares, and the clamp exponentiates, alike
+        minima = [(x, m) for x in (0.0, -0.0, 0.5, -2.0)
+                  for m in (0.0, -0.0, 0.5, -2.0, math.inf)]
+        clamps = [(x, 0.0) for x in (0.0, -0.0, 0.5, -0.5, math.nan)]
+        for n in self.LENGTHS:
+            for shift in range(len(minima)):
+                loss, min_loss = self.cycled(minima, n, shift)
+                got, want = np.fmin(loss, min_loss), np.where(loss < min_loss, loss, min_loss)
+                assert np.array_equal(got, want)
+                assert ((loss - got) ** 2).tobytes() == ((loss - want) ** 2).tobytes()
+            for shift in range(len(clamps)):
+                exponent, _ = self.cycled(clamps, n, shift)
+                got, want = np.fmax(exponent, 0.0), np.where(exponent > 0.0, exponent, 0.0)
+                assert np.array_equal(got, want)
+                assert np.exp(-got).tobytes() == np.exp(-want).tobytes()
+
     def test_degenerate_prefix_selections(self):
         # a previous rate is NaN (degenerate) or positive, and then the rate is
         # at most it (the rate never rises); a NaN previous rate allows any rate
@@ -422,6 +441,21 @@ class TestRoundProtocol:
         with pytest.raises(ProtocolError):
             state.snapshot()
 
+    @pytest.mark.parametrize("model", [fixed_share_model(5, 0.05), fixed_arm_model(5),
+                                       fixed_share_model(9, 1e-3)],
+                             ids=["share", "fixed", "share9"])
+    def test_probabilities_are_the_exp_of_the_log_weights(self, model):
+        # no renormalization pass: p is exp of the mass-1 log-weights, bit for bit
+        n_arms = model.n_arms
+        losses = np.random.default_rng(n_arms).uniform(-1.0, 2.0, (300, n_arms))
+        state = ScaleFreeBandit(model, gamma=1.3, seed=2)
+        for t in range(300):
+            p = state.probabilities
+            assert p.tobytes() == np.exp(state.log_weights).tobytes()
+            assert abs(p.sum() - 1.0) <= 1e-14
+            state.play_round(lambda arm: losses[t, arm])
+        assert state.probabilities.tobytes() == np.exp(state.log_weights).tobytes()
+
     def test_forced_arm_must_be_in_range(self):
         state = ScaleFreeBandit(fixed_arm_model(2), gamma=1.0, seed=0)
         with pytest.raises(ValueError):
@@ -595,10 +629,21 @@ class TestSnapshot:
         ("log_weights", lambda snap: snap["log_weights"].__setitem__(0, math.nan)),
         ("log_weights", lambda snap: snap.update(log_weights=[800.0] * 3)),
         ("log_weights", lambda snap: snap.update(log_weights={"a": 0.0})),
+        # JSON numbers only: the same values as strings or bools are rejected
+        ("second_moment", lambda snap: snap.update(second_moment=repr(snap["second_moment"]))),
+        ("second_moment", lambda snap: snap.update(second_moment=False)),
+        ("spread_max", lambda snap: snap.update(spread_max=repr(snap["spread_max"]))),
+        ("rate_prev", lambda snap: snap.update(rate_prev=repr(snap["rate_prev"]))),
+        ("log_weights", lambda snap: snap.update(log_weights=list(map(repr, snap["log_weights"])))),
+        ("log_weights", lambda snap: snap.update(log_weights=repr(snap["log_weights"]))),
+        ("log_weights", lambda snap: snap["log_weights"].__setitem__(0, True)),
+        ("log_weights", lambda snap: snap.update(log_weights=[0.0, 0.0, 0.0])),  # mass 3
     ], ids=["n_arms-float", "n_arms-str", "no-spec", "model-list", "gamma-str", "no-gamma",
             "no-round", "no-min_loss", "second_moment-list", "no-rate_prev", "no-counter",
             "short-counter", "negative-key", "rng-null", "nan-log_weights",
-            "overflowing-log_weights", "log_weights-dict"])
+            "overflowing-log_weights", "log_weights-dict", "second_moment-str",
+            "second_moment-bool", "spread_max-str", "rate_prev-str", "log_weights-entries-str",
+            "log_weights-str", "log_weights-bool", "log_weights-mass-3"])
     def test_malformed_snapshot_raises_value_error_naming_the_field(self, field, edit):
         state = ScaleFreeBandit(fixed_share_model(3, 0.2), gamma=1.0, seed=4)
         self.play(state, {0: 1.0, 1: 2.0, 2: 0.0}, 6)
@@ -606,6 +651,22 @@ class TestSnapshot:
         edit(snap)
         with pytest.raises(ValueError, match=field), np.errstate(over="ignore"):
             ScaleFreeBandit.restore(snap)
+
+    @pytest.mark.parametrize("shift,restores", [(0.0, True), (4e-10, True), (-4e-10, True),
+                                                (2e-9, False), (-2e-9, False)])
+    def test_log_weights_must_have_mass_one(self, shift, restores):
+        # the kernel takes p = exp(log_w) without renormalizing, so restore
+        # rejects a mass (sum of exps) off 1 by more than 1e-9
+        state = ScaleFreeBandit(fixed_share_model(3, 0.2), gamma=1.0, seed=4)
+        self.play(state, {0: 1.0, 1: 2.0, 2: 0.0}, 6)
+        snap = json.loads(json.dumps(state.snapshot(), allow_nan=False))
+        snap["log_weights"] = [x + shift for x in snap["log_weights"]]
+        if restores:
+            twin = ScaleFreeBandit.restore(snap)
+            assert twin.probabilities.tobytes() == np.exp(twin.log_weights).tobytes()
+        else:
+            with pytest.raises(ValueError, match="log_weights: ValueError: mass"):
+                ScaleFreeBandit.restore(snap)
 
     @pytest.mark.parametrize("snap", [[("format", "scalefree-bandit-snapshot")], "snapshot", None])
     def test_snapshot_that_is_not_an_object_rejected(self, snap):

@@ -245,6 +245,22 @@ class TestEngineEquivalence:
             negative_zero = (seq.psi == 0) & np.signbit(seq.psi)
             assert negative_zero.any() and (seq.psi == 0)[~negative_zero].any()
 
+    @pytest.mark.parametrize("runs", [1, 5, 69])
+    @pytest.mark.parametrize("n_arms", [3, 4, 8])
+    def test_vectorized_matches_sequential_on_signed_zeros(self, n_arms, runs):
+        # the batch's fmin (running minimum) and fmax (exponent clamp) may keep
+        # the other zero of a +-0 tie where the learner's compares keep the
+        # first; that sign must reach no output (69 runs reach numpy's SIMD
+        # body and its tail)
+        rng = np.random.default_rng(100 * n_arms + runs)
+        stream = scripted(rng.choice([-0.0, 0.0, 0.5, 1.0], size=(150, n_arms)))
+        for model in (fixed_share_model(n_arms, 0.05), fixed_arm_model(n_arms)):
+            vec = simulate_runs(model, 1.5, stream, base_seed=3, runs=runs)
+            seq = simulate_runs_sequential(model, 1.5, stream, base_seed=3, runs=runs)
+            assert vec.arms.tobytes() == seq.arms.tobytes()
+            assert vec.eta.tobytes() == seq.eta.tobytes()
+            assert vec.final_probs.tobytes() == seq.final_probs.tobytes()
+
     @pytest.mark.parametrize("n_arms", [8, 16])
     def test_vectorized_matches_sequential_above_four_arms(self, n_arms):
         # from 8 arms on, the batched sums over the arms go through a (runs, M) copy
@@ -1109,6 +1125,20 @@ class TestCli:
         assert code == 0
         assert (", tuned-gamma form: mean+2se=" in out) == named
         assert ("satisfied" in out) != ("VIOLATED" in out)
+
+    @pytest.mark.parametrize("budget,named", [(1999, True), (20, True), (1, False)])
+    def test_bound_line_names_a_gamma_tuned_for_another_budget(self, capsys, config_file,
+                                                                budget, named):
+        # gamma=auto is tuned for the budget's W, the bound for the played path's
+        # W (one switch here); only switching:1 gives gamma = sqrt(W_path)
+        overrides = ["T=2000", "segments=1000@0.25|0.75|0.75|0.75;1000@0.75|0.25|0.75|0.75",
+                     f"competition=switching:{budget}", "runs=2"]
+        argv = ["run", "--config", str(config_file)]
+        code = cli.main(argv + [arg for o in overrides for arg in ("--override", o)])
+        out = capsys.readouterr().out
+        assert code == 0 and "switches=1 " in out
+        assert (", tuned-gamma form: mean+2se=" in out) == named
+        assert "satisfied" in out
 
     def test_largest_env_seed_runs(self, capsys, config_file):
         code = cli.main(["run", "--config", str(config_file),
