@@ -171,12 +171,11 @@ def check_mass(total) -> None:
 def arm_probabilities(log_w: np.ndarray) -> np.ndarray:
     """Normalized arm probabilities from any log-weights (axis 0), mass checked.
 
-    The learner and the engine do not take this route: their log-weights
-    have mass 1, and their probabilities are the plain exponentials
-    (:func:`weight_step`, :func:`mass_one_probabilities`). This form divides
-    by the mass, for scores of another mass (Exp3's max-shifted scores) and
-    for the engine's once-per-block mass check. Inputs must stay inside
-    exp's range.
+    The learner and the engine (its mass check too) do not take this route:
+    their log-weights have mass 1, and their probabilities are the plain
+    exponentials (:func:`weight_step`, :func:`mass_one_probabilities`). This
+    form divides by the mass and serves the oracles only: Exp3's max-shifted
+    scores and the constant-rate replay. Inputs must stay in exp's range.
     """
     e = np.exp(log_w)
     total = _arm_sum(e)
@@ -188,10 +187,10 @@ def arm_probabilities(log_w: np.ndarray) -> np.ndarray:
 def mass_one_probabilities(log_w: np.ndarray) -> np.ndarray:
     """``exp(log_w)``, mass checked: the arm probabilities of log-weights of mass 1.
 
-    The start state, :meth:`ScaleFreeBandit.restore` and every round of
-    :func:`weight_step` take this route (a batch's rounds skip the check),
-    so a restored learner has the kernel's probabilities bit for bit. They
-    sum to 1 within a few ulps, not exactly.
+    The start state, :meth:`ScaleFreeBandit.restore`, the engine's block
+    check and every round of :func:`weight_step` take this route (a batch's
+    rounds skip the check), so a restored learner has the kernel's
+    probabilities bit for bit. They sum to 1 within a few ulps, not exactly.
     """
     p = np.exp(log_w)
     check_mass(_arm_sum(p))

@@ -20,6 +20,8 @@ a comment). Keys are exactly the fields of :class:`ExperimentConfig`:
                  ``<prefix>_summary.csv``
 ===============  ==========================================================
 
+An empty value (``output=``) unsets an optional key: ``segments``, ``affine``, ``output``.
+
 All runs are advanced in lockstep as one batch through the learner's round
 kernel (:func:`scalefree_bandit.core.round_step`); each run keeps its own
 counter-based random stream, so every run selects exactly the arms it would
@@ -46,8 +48,8 @@ import numpy as np
 
 from . import environments, reference
 from .competitions import CompetitionModel, complexity, default_gamma, parse_model
-from .core import (START_STATS, NumericalDegeneracyError, arm_probabilities, check_rates,
-                   draw_arms, mass_one_probabilities, mixture_coefficient, round_step,
+from .core import (START_STATS, NumericalDegeneracyError, check_rates, draw_arms,
+                   mass_one_probabilities, mixture_coefficient, round_step,
                    selection_probabilities)
 from .environments import LossStream
 from .rng import run_generator
@@ -79,10 +81,13 @@ class ExperimentConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+_OPTIONAL_KEYS = {f.name for f in fields(ExperimentConfig) if f.default is None}
 
 
 def _convert(key: str, raw: str):
     """Parse one value; :func:`validate_config` checks its range."""
+    if key in _OPTIONAL_KEYS and raw == "":
+        return None
     if key in ("M", "T", "runs", "seed", "env_seed"):
         return int(raw)
     if key == "noise_width" or (key == "gamma" and raw != "auto"):
@@ -336,10 +341,10 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
     The kernel's range checks run once per block, not per round: on the
     block's rates and on the state after its last round
     (:func:`~scalefree_bandit.core.check_rates`, and the mass check of
-    :func:`~scalefree_bandit.core.arm_probabilities`). Between those checks
-    the rounds take the probabilities as the exponentials of the mass-1
-    log-weights, as one learner does, with no renormalization and no mass
-    check (:func:`~scalefree_bandit.core.weight_step`). A round that fails
+    :func:`~scalefree_bandit.core.mass_one_probabilities`). Between those
+    checks the rounds take the probabilities as the exponentials of the
+    mass-1 log-weights, as one learner does, with no renormalization and no
+    mass check (:func:`~scalefree_bandit.core.weight_step`). A round that fails
     either check is still seen there, because what it leaves behind lasts:
 
     - A rate that is neither NaN nor in (0, inf) stays in the block's rates.
@@ -379,7 +384,7 @@ def simulate_runs(model: CompetitionModel, gamma: float, stream: LossStream,
 
     def check(rates, log_w, stats):
         check_rates(rates, stats[1] + stats[2] * stats[2])
-        arm_probabilities(log_w)  # raises on a bad weight mass
+        mass_one_probabilities(log_w)  # raises on a bad weight mass
 
     def play(lo, hi, log_w, p, stats, checked):
         """Rounds lo..hi-1 from the given state (whose log_w they overwrite), into the buffers."""

@@ -35,9 +35,10 @@ from .rng import make_generator
 
 
 def path_loss(stream: LossStream, arms) -> float:
-    """Canonical cumulative loss of an arm sequence (prefix-order sum)."""
+    """Canonical cumulative loss of an arm sequence: the prefix-order sum that ``run`` reports
+    (a cumulative sum's last entry; ``ndarray.sum`` adds pairwise from 8 entries on)."""
     arms = np.asarray(arms, dtype=np.intp)
-    return float(stream.matrix[np.arange(stream.horizon), arms].sum())
+    return float(np.cumsum(stream.matrix[np.arange(stream.horizon), arms])[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -242,37 +243,34 @@ def best_switching_sequence(stream: LossStream, max_switches: int) -> tuple[np.n
     Suffix dynamic program over (round, arm, switches left), O(T*M*k), then
     a forward walk that takes, round by round, the smallest arm whose suffix
     attains the optimum: the lexicographically smallest minimizing path
-    when the sums are exact. For every round t >= 1 and budget j >= 1 the
-    pass stores what the walk needs: ``target`` the smallest arm attaining
-    ``best``, the minimum of column j-1 (the best switch), and per arm m,
-    with ``stay`` its own value in column j, ``below = stay < best`` and
-    ``atmost = stay <= best``.
+    when the sums are exact. For every round t and budget j >= 1 the pass
+    stores one decision, ``choice[t, m, j-1]``: the arm that round t plays
+    after arm m with j switches left. The walk reads one entry per round and
+    spends a switch when the arm changes. A cell takes the narrowest
+    unsigned type that holds every arm index: one byte up to 256 arms, two
+    up to 65536 and four above, so the table takes T*M*k bytes up to 256
+    arms.
 
     The pass runs in blocks of ``_BLOCK`` rounds. Per round it only takes
     the values: the minimum of each column j-1 into a row whose budget-0
     entry is ``+inf``, the elementwise minimum of the next round's values
     with that row, plus the round's losses. They go into a ``(_BLOCK + 1,
-    M, k+1)`` slab, from which the bits of the whole block are taken at
-    once. The values are those of the argmin-indexed step: the minimum is
-    an element of its column, the ``+inf`` entry leaves column 0 as it is,
-    and a tie of ``0.0`` with ``-0.0`` can change only the sign of a zero,
-    which no comparison reads.
+    M, k+1)`` slab, from which the decisions of the whole block are taken
+    at once. The values are those of the argmin-indexed step: the minimum
+    is an element of its column, the ``+inf`` entry leaves column 0 as it
+    is, and a tie of ``0.0`` with ``-0.0`` can change only the sign of a
+    zero, which no comparison reads.
 
     A suffix never costs more with more switches left, and this holds
     exactly in floating point: the minimum is monotone, and adding the same
     loss to both sides is monotone under round-to-nearest. So switching
     "to" the current arm never beats staying on it, and the best switch
     from any arm is the plain minimum of column j-1; no second-smallest
-    entry is needed to exclude the current arm. The walk takes the argmin
-    over column j-1 with the current arm m at its stay value, ties going to
-    the smaller index, and the stored bits decide it without the values:
-
-    * ``stay < best``: m alone attains the minimum, so it stays.
-    * ``stay == best``: the arms attaining it are m and those of column
-      j-1 equal to ``best``; the smallest is m exactly when
-      ``m <= target``, else ``target``.
-    * ``stay > best``: m's own value in column j-1 is at least ``stay``,
-      so ``target`` is another arm, and the smallest one attaining it.
+    entry is needed to exclude the current arm. The decision is the argmin
+    over column j-1 with arm m at its own value in column j, ties going to
+    the smaller index: m stays when (its value, m) <= (the column's
+    minimum, the smallest arm attaining it) in lexicographic order, and
+    otherwise that smallest arm is played.
     """
     if max_switches < 0:
         raise ValueError("switch budget must be >= 0")
@@ -286,9 +284,9 @@ def best_switching_sequence(stream: LossStream, max_switches: int) -> tuple[np.n
     # column j-1; no switch is left at j = 0
     switch = np.full(k + 1, np.inf)
     spend = switch[1:]
-    target = np.empty((horizon, k), dtype=np.int16 if n_arms <= 1 << 15 else np.intp)
-    below = np.empty((horizon, n_arms, k), dtype=bool)
-    atmost = np.empty_like(below)
+    choice = np.empty((horizon, n_arms, k), dtype=np.min_scalar_type(n_arms - 1))
+    # m in every cell [t, m, j] of a block of choice: the bytewise steps run contiguous
+    arms = np.tile(np.arange(n_arms, dtype=choice.dtype)[:, None], (min(_BLOCK, horizon), 1, k))
     for end in range(horizon, 0, -_BLOCK):
         start = max(end - _BLOCK, 0)
         block = slab[_BLOCK - (end - start):]
@@ -299,24 +297,22 @@ def best_switching_sequence(stream: LossStream, max_switches: int) -> tuple[np.n
             np.minimum(nxt, switch, out=cur)
             np.add(cur, loss, out=cur)
         stays, values = block[:-1, :, 1:], block[:-1, :, :-1]
-        target[start:end] = values.argmin(axis=1)
-        best = np.take_along_axis(values, target[start:end, None, :], axis=1)
-        np.less(stays, best, out=below[start:end])
-        np.less_equal(stays, best, out=atmost[start:end])
+        target = values.argmin(axis=1).astype(choice.dtype)[:, None, :]
+        best = np.take_along_axis(values, target, axis=1)
+        out, own = choice[start:end], arms[:end - start]
+        out[...] = target
+        stay = (stays < best) | ((stays == best) & (own <= out))
+        np.bitwise_xor(out, stay * (own ^ out), out=out)  # m where it stays, else target
         slab[-1] = block[0]
-    path = np.empty(horizon, dtype=np.intp)
-    j = k
-    path[0] = int(np.argmin(slab[-1, :, k]))
+    m, j = int(np.argmin(slab[-1, :, k])), k
+    path = np.full(horizon, m, dtype=np.intp)
     for t in range(1, horizon):
-        m = path[t - 1]
         if j == 0:
-            path[t:] = m
             break
-        if below[t, m, j - 1] or (atmost[t, m, j - 1] and m <= target[t, j - 1]):
-            path[t] = m
-        else:
-            path[t] = target[t, j - 1]
-            j -= 1
+        arm = choice.item(t, m, j - 1)  # a Python int, compared cheaply
+        if arm != m:
+            m, j = arm, j - 1
+            path[t:] = m
     return path, path_loss(stream, path)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import environments, reference
 from .competitions import fixed_share_model
-from .harness import ExperimentConfig, RegretReport, run_experiment
+from .harness import ExperimentConfig, RegretReport, build_stream, run_experiment
 from .reference import (
     best_switching_sequence,
     enumerate_best_sequence,
@@ -139,18 +139,9 @@ def oracle_suite() -> list[CheckResult]:
 # invariance suite
 # ---------------------------------------------------------------------------
 
-def two_segment_stream(n_arms=4, horizon=10_000, gap=0.5, noise_width=0.2,
-                       env_seed=11) -> environments.LossStream:
-    """The canonical 2-segment experiment: the best arm moves from 0 to 1."""
-    base = gap + 0.25
-    seg1 = [0.25] + [base] * (n_arms - 1)
-    seg2 = [base, 0.25] + [base] * (n_arms - 2)
-    half = horizon // 2
-    return environments.piecewise_stationary(
-        n_arms, horizon,
-        [(half, seg1), (horizon - half, seg2)],
-        noise_width, env_seed,
-    )
+def two_segment_stream(n_arms=4, horizon=10_000) -> environments.LossStream:
+    """The canonical 2-segment experiment's loss stream (:func:`two_segment_config`)."""
+    return build_stream(two_segment_config(M=n_arms, T=horizon))
 
 
 def _relative_gap(actual, expected) -> float:
@@ -230,17 +221,22 @@ def invariance_suite() -> list[CheckResult]:
 # bound suite (Monte Carlo)
 # ---------------------------------------------------------------------------
 
-TWO_SEGMENT_SEGMENTS = "5000@0.25|0.75|0.75|0.75;5000@0.75|0.25|0.75|0.75"
-
-
 def two_segment_config(**overrides) -> ExperimentConfig:
-    """The two-segment bound experiment with `overrides` applied; an unknown key raises TypeError."""
-    cfg = ExperimentConfig(
+    """The two-segment bound experiment with `overrides` applied; an unknown key raises TypeError.
+
+    The best arm moves from 0 to 1 at round T // 2; it has mean 0.25 and
+    every other arm 0.75, with noise of width 0.2. Unless `segments` is
+    given, it is derived from the final M and T.
+    """
+    cfg = replace(ExperimentConfig(
         M=4, T=10_000, runs=200, seed=2024, gamma="auto",
         model="fixed", env="piecewise", env_seed=11, noise_width=0.2,
-        segments=TWO_SEGMENT_SEGMENTS, competition="fixed", output=None,
-    )
-    return replace(cfg, **overrides)
+        competition="fixed", output=None,
+    ), **overrides)
+    if cfg.segments is None:
+        half, rest = cfg.T // 2, "|0.75" * (cfg.M - 2)
+        cfg = replace(cfg, segments=f"{half}@0.25|0.75{rest};{cfg.T - half}@0.75|0.25{rest}")
+    return cfg
 
 
 def check_bound(cfg: ExperimentConfig, name: str) -> tuple[CheckResult, RegretReport]:
@@ -258,12 +254,8 @@ def check_bound(cfg: ExperimentConfig, name: str) -> tuple[CheckResult, RegretRe
 def switching_config_at_horizon(horizon: int, runs=200) -> ExperimentConfig:
     """Experiment (b) re-instantiated at a horizon: the switch stays at the
     midpoint and the switching rate stays coupled to the horizon (1/T)."""
-    half = horizon // 2
-    segments = f"{half}@0.25|0.75|0.75|0.75;{horizon - half}@0.75|0.25|0.75|0.75"
-    return two_segment_config(
-        T=horizon, segments=segments, runs=runs,
-        model=f"switching:{1.0 / horizon}", competition="switching:1",
-    )
+    return two_segment_config(T=horizon, runs=runs, model=f"switching:{1.0 / horizon}",
+                              competition="switching:1")
 
 
 def check_sublinearity(report_10k: RegretReport, ratio=0.6) -> CheckResult:

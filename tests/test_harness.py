@@ -93,7 +93,8 @@ class TestConfig:
 
     # a config built in Python does not go through the parser's conversions
     @pytest.mark.parametrize("key,value", [
-        ("seed", -1), ("env_seed", -3), ("noise_width", math.nan), ("gamma", -1.0)])
+        ("seed", -1), ("env_seed", -3), ("noise_width", math.nan), ("gamma", -1.0),
+        ("output", "")])
     def test_python_config_names_its_key(self, key, value):
         cfg = replace(ExperimentConfig(M=2, T=4, segments="4@0|1", noise_width=0.1), **{key: value})
         with pytest.raises(ConfigError, match=f"^bad value for key '{key}': "):
@@ -1043,12 +1044,22 @@ class TestCli:
     def test_env_seed_past_uint64_names_its_key(self, capsys, config_file):
         self.assert_key_error(capsys, config_file, f"env_seed={2 ** 64}", "env_seed")
 
-    def test_empty_output_names_its_key(self, capsys, config_file, tmp_path, monkeypatch):
-        # an empty prefix would write _runs.csv and _summary.csv into the working directory
+    def test_empty_output_unsets_it(self, capsys, config_file, tmp_path, monkeypatch):
+        # an empty value unsets the prefix: no _runs.csv or _summary.csv in the working directory
         monkeypatch.chdir(tmp_path)
+        config_file.write_text(CONFIG_TEXT + "output=tracking\n")
         before = sorted(tmp_path.iterdir())
-        self.assert_key_error(capsys, config_file, "output=", "output")
+        code = cli.main(["run", "--config", str(config_file), "--override", "output="])
+        out = capsys.readouterr().out
+        assert code == 0 and "wrote" not in out
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_empty_affine_is_left_out(self, capsys, config_file):
+        assert cli.main(["run", "--config", str(config_file)]) == 0
+        plain = capsys.readouterr().out
+        config_file.write_text(CONFIG_TEXT + "affine=\n")
+        assert cli.main(["run", "--config", str(config_file)]) == 0
+        assert capsys.readouterr().out == plain
 
     @pytest.mark.parametrize("override,key", [
         ("M=1", "M"),
@@ -1057,6 +1068,7 @@ class TestCli:
         ("segments=200@0.2|x|0.7|0.7", "segments"),
         ("segments=0@0.2|0.7|0.7|0.7;200@0.7|0.2|0.7|0.7", "segments"),
         (None, "segments"),  # the config sets none
+        ("segments=", "segments"),  # an empty value unsets it
         ("affine=1", "affine"),
         ("affine=-1,0", "affine"),
         ("affine=1,1e300", "affine"),  # every loss becomes 1e300: no spread left

@@ -13,7 +13,8 @@ import pytest
 from scalefree_bandit import reference
 from scalefree_bandit.competitions import fixed_arm_model, fixed_share_model, switch_count
 from scalefree_bandit.core import mixture_coefficient, sample_arm
-from scalefree_bandit.environments import scripted
+from scalefree_bandit.environments import scripted, write_csv
+from scalefree_bandit.harness import ExperimentConfig, run_experiment
 from scalefree_bandit.reference import (
     DenseReference,
     best_fixed_arm,
@@ -266,16 +267,65 @@ class TestBestSwitchingSequence:
                 assert np.array_equal(best_switching_sequence(stream, k)[0], path)
             monkeypatch.undo()
 
-    def test_peak_memory_without_float_table(self):
-        # the walk keeps per-round bits, not a (T+1, M, k+1) float table (13.7 MB here)
-        stream = scripted(make_generator(9).random((10_000, 8)))
+    @staticmethod
+    def peak_bytes(stream, max_switches):
         tracemalloc.start()
         try:
-            best_switching_sequence(stream, 20)
+            best_switching_sequence(stream, max_switches)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5e6
+        return peak
+
+    def test_peak_memory_without_float_table(self):
+        # the walk keeps one byte per round, arm and budget, not a (T+1, M, k+1)
+        # float table (13.7 MB here)
+        stream = scripted(make_generator(9).random((10_000, 8)))
+        assert self.peak_bytes(stream, 20) < 3e6
+
+    def test_peak_memory_at_large_budget(self):
+        # the decision table alone is T*M*k = 16 MB here, and the slab 16.4 MB
+        stream = scripted(make_generator(9).random((2000, 4)))
+        assert self.peak_bytes(stream, 1999) <= 65e6
+
+    @staticmethod
+    def plain_tie_walk(matrix, max_switches):
+        """The smallest optimal path, walked over a full (T+1, M, k+1) table of suffix values.
+
+        Round by round: the argmin over the values of column j-1, with the
+        current arm at its own value in column j; ties go to the smaller arm.
+        """
+        horizon, n_arms = matrix.shape
+        k = min(max_switches, horizon - 1)
+        value = np.zeros((horizon + 1, n_arms, k + 1))
+        for t in range(horizon - 1, -1, -1):
+            nxt = value[t + 1]
+            switch = np.concatenate(([np.inf], nxt[:, :-1].min(axis=0)))
+            value[t] = matrix[t][:, None] + np.minimum(nxt, switch)
+        path = [int(np.argmin(value[0, :, k]))]
+        j = k
+        for t in range(1, horizon):
+            m = path[-1]
+            if j > 0:
+                candidates = value[t, :, j - 1].copy()
+                candidates[m] = value[t, m, j]
+                arm = int(np.argmin(candidates))
+                if arm != m:
+                    j -= 1
+                m = arm
+            path.append(m)
+        return np.array(path)
+
+    @pytest.mark.parametrize("horizon", [255, 256, 257, 513, 600])
+    @pytest.mark.parametrize("n_arms", [2, 3, 5])
+    def test_ties_follow_the_plain_walk(self, horizon, n_arms):
+        # integer losses: every sum is exact and ties are everywhere
+        rng = make_generator(horizon * n_arms)
+        for k in (0, 1, 7, horizon - 1, horizon + 3):
+            matrix = rng.integers(0, 3, size=(horizon, n_arms)).astype(np.float64)
+            path, loss = best_switching_sequence(scripted(matrix), k)
+            assert np.array_equal(path, self.plain_tie_walk(matrix, k))
+            assert loss == matrix[np.arange(horizon), path].sum()
 
     def test_beats_random_paths(self):
         rng = make_generator(7)
@@ -356,9 +406,21 @@ def test_switching_oracle_rejects_negative_budget():
         best_switching_sequence(scripted(np.zeros((3, 2))), -1)
 
 
-def test_path_loss_is_prefix_order_sum():
+def test_path_loss_is_prefix_order_sum(tmp_path):
     matrix = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
     assert path_loss(scripted(matrix), [0, 1, 0]) == 1.0 + 20.0 + 3.0
+    # from 8 rounds on, ndarray.sum would add pairwise
+    stream = scripted(make_generator(21).random((1000, 3)))
+    arms = make_generator(22).integers(0, 3, size=1000)
+    total = 0.0
+    for t, arm in enumerate(arms):
+        total += stream.matrix[t, arm]
+    assert path_loss(stream, arms) == total
+    # and it is the competition loss that run reports
+    write_csv(stream, tmp_path / "s.csv")
+    report = run_experiment(ExperimentConfig(M=3, T=1000, env=f"csv:{tmp_path / 's.csv'}",
+                                             competition="switching:5"))
+    assert path_loss(stream, report.comp_path) == report.comp_loss
 
 
 def test_scale_invariance_script_runs(capsys):
